@@ -163,6 +163,16 @@ def test_chi_malformed_file(capsys, chi_files, tmp_path):
     assert "error" in err
 
 
+def test_chi_rejects_nan_density(capsys, chi_files, tmp_path):
+    seq, _ = chi_files
+    dens = tmp_path / "nan.json"
+    dens.write_text('{"kind": "hard-cutoff-flat", "amplitude": 1.0, "cutoff": NaN}')
+    code, out, err = run(capsys, "chi", "--sequence", str(seq), "--density", str(dens))
+    assert code == 2
+    assert out == ""
+    assert "error" in err
+
+
 # ---------------------------------------------------------------------------
 # l1-scan
 

@@ -1,11 +1,14 @@
 import json
 import math
+import time
 
+import mpmath
 import numpy as np
 import pytest
 
 from expsums import (
     InvalidInputError,
+    PrecisionError,
     PulseSequence,
     SpectralDensity,
     decay_factor,
@@ -20,6 +23,7 @@ from expsums import (
     uhrig_pulse_times,
     vanishing_order_filter,
 )
+from expsums.quadrature import adaptive_gauss_legendre
 
 ECHO = PulseSequence(times=(0.0, 0.5, 1.0))
 FREE = PulseSequence(times=(0.0, 1.0))
@@ -41,6 +45,11 @@ def test_sequence_validation():
         PulseSequence(times=(0.0, 0.5, 0.5, 1.0))
     with pytest.raises(InvalidInputError):
         PulseSequence(times=(0.0, 0.7, 0.3, 1.0))
+
+
+def test_sequence_rejects_nan_time():
+    with pytest.raises(InvalidInputError):
+        PulseSequence(times=(0.0, math.nan, 1.0))
 
 
 def test_sequence_accessors():
@@ -194,20 +203,33 @@ def test_density_validation():
         SpectralDensity(kind="tabulated", table=((0.0, 1.0), (1.0, -2.0)))
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        dict(kind="hard-cutoff-flat", cutoff=math.nan),
+        dict(kind="ohmic-exponential", cutoff=math.inf),
+        dict(kind="hard-cutoff-flat", amplitude=math.nan, cutoff=1.0),
+        dict(kind="tabulated", table=((0.0, 1.0), (math.nan, 2.0))),
+        dict(kind="tabulated", table=((0.0, math.nan), (1.0, 2.0))),
+    ],
+    ids=["nan-cutoff", "inf-cutoff", "nan-amplitude", "nan-table-frequency", "nan-table-value"],
+)
+def test_density_rejects_nonfinite(kwargs):
+    with pytest.raises(InvalidInputError):
+        SpectralDensity(**kwargs)
+
+
 def test_flat_density_values():
     dens = SpectralDensity(kind="hard-cutoff-flat", amplitude=2.0, cutoff=1.5)
     assert dens(0.0) == 2.0
     assert dens(1.5) == 2.0
     assert dens(1.6) == 0.0
-    assert dens.support_bound == 1.5
 
 
 def test_ohmic_density_values():
     dens = SpectralDensity(kind="ohmic-exponential", amplitude=3.0, cutoff=2.0)
     w = 0.7
     assert dens(w) == pytest.approx(3.0 * w * math.exp(-w / 2.0), rel=1e-15)
-    assert dens.support_bound is None
-    assert dens.tail_weight(10.0) < dens.tail_weight(5.0)
 
 
 def test_tabulated_density_interpolation():
@@ -217,7 +239,6 @@ def test_tabulated_density_interpolation():
     assert dens(0.5) == pytest.approx(1.0)
     assert dens(1.5) == pytest.approx(1.0)
     assert dens(2.5) == 0.0
-    assert dens.support_bound == 2.0
 
 
 def test_density_vectorized_call():
@@ -277,6 +298,178 @@ def test_decay_validation():
     dens = SpectralDensity(kind="hard-cutoff-flat", amplitude=1.0, cutoff=1.0)
     with pytest.raises(InvalidInputError):
         decay_factor(FREE, dens, abs_tol=0.0)
+    with pytest.raises(InvalidInputError):
+        decay_factor(FREE, dens, abs_tol=math.nan)
+
+
+def test_decay_overflow_is_a_precision_error():
+    dens = SpectralDensity(kind="ohmic-exponential", amplitude=1.0, cutoff=1e200)
+    with pytest.raises(PrecisionError):
+        decay_factor(ECHO, dens)
+
+
+# Lambda(omega) = 1 / (1 + omega) and omega * exp(-omega/10) sampled on a few
+# points, plus a table that steps up from 0 at its first point
+TABLES = {
+    "decaying": tuple((w, 1.0 / (1.0 + w)) for w in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)),
+    "ohmic-like": tuple((w, w * math.exp(-w / 10.0)) for w in (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0)),
+    "left-step": ((0.5, 2.0), (1.5, 1.0), (3.0, 0.0)),
+}
+ORACLE_DENSITIES = {
+    "flat": SpectralDensity(kind="hard-cutoff-flat", amplitude=1.3, cutoff=7.5),
+    "ohmic": SpectralDensity(kind="ohmic-exponential", amplitude=0.7, cutoff=2.0),
+    **{name: SpectralDensity(kind="tabulated", amplitude=0.9, table=t) for name, t in TABLES.items()},
+}
+
+
+def quadrature_chi(seq, density):
+    """chi by adaptive quadrature of Lambda*|f|^2, piecewise between kinks."""
+    coeffs = np.array([c.real for c in filter_expsum(seq).coefficients])
+    times = np.array(seq.times)
+
+    def integrand(ws):
+        return density(ws) * np.abs(np.exp(1j * np.outer(ws, times)) @ coeffs) ** 2
+
+    if density.kind == "tabulated":
+        ws = [w for w, _ in density.table]
+        pieces = list(zip(ws, ws[1:]))
+    elif density.kind == "ohmic-exponential":
+        # the tail beyond 40 cutoffs weighs below 1e-15
+        pieces = [(k * density.cutoff, (k + 1) * density.cutoff) for k in range(40)]
+    else:
+        pieces = [(0.0, density.cutoff)]
+    return math.fsum(adaptive_gauss_legendre(integrand, lo, hi, 1e-12)[0] for lo, hi in pieces)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_DENSITIES))
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_decay_matches_quadrature_oracle(name, n):
+    seq = PulseSequence(times=(0.0, 1.3)) if n == 0 else uhrig_pulse_times(n, 1.3)
+    density = ORACLE_DENSITIES[name]
+    oracle = quadrature_chi(seq, density)
+    assert decay_factor(seq, density, abs_tol=1e-12) == pytest.approx(oracle, abs=1e-10)
+
+
+def test_decay_one_point_table_is_zero():
+    density = SpectralDensity(kind="tabulated", table=((1.0, 3.0),))
+    for seq in [FREE, ECHO, uhrig_pulse_times(8, 1.0)]:
+        assert decay_factor(seq, density) == 0.0
+
+
+def kernel_sum_mp(seq, density, dps=60):
+    """amplitude * sum_jk c_j c_k K(t_j - t_k) at ``dps`` digits on the stored
+    times; tabulated kernels integrate (p + q*omega)*cos(D*omega) per segment."""
+    coeffs = [c.real for c in filter_expsum(seq).coefficients]
+    with mpmath.mp.workdps(dps):
+        times = [mpmath.mpf(t) for t in seq.times]
+        if density.kind == "hard-cutoff-flat":
+            wc = mpmath.mpf(density.cutoff)
+
+            def kernel(d):
+                return wc if d == 0 else mpmath.sin(d * wc) / d
+        elif density.kind == "ohmic-exponential":
+            s = 1 / mpmath.mpf(density.cutoff) ** 2
+
+            def kernel(d):
+                return (s - d * d) / (s + d * d) ** 2
+        else:
+            table = [tuple(map(mpmath.mpf, p)) for p in density.table]
+
+            def kernel(d):
+                total = mpmath.mpf(0)
+                for (w0, v0), (w1, v1) in zip(table, table[1:]):
+                    q = (v1 - v0) / (w1 - w0)
+                    p = v0 - q * w0
+                    if d == 0:
+                        total += p * (w1 - w0) + q * (w1 ** 2 - w0 ** 2) / 2
+                        continue
+
+                    def primitive(w):
+                        return (p + q * w) * mpmath.sin(d * w) / d + q * mpmath.cos(d * w) / d ** 2
+                    total += primitive(w1) - primitive(w0)
+                return total
+
+        value = mpmath.fsum(
+            cj * ck * kernel(tj - tk)
+            for cj, tj in zip(coeffs, times)
+            for ck, tk in zip(coeffs, times)
+        )
+        return float(density.amplitude * value)
+
+
+# chi cases that quadrature missed (n=8, cutoff 10.0879), took a second or
+# more (n=4, cutoff 50) or ground to its subdivision cap (n=32), and tables
+# whose 32-pulse sums take the mpmath rung
+@pytest.mark.parametrize(
+    "n,density,abs_tol",
+    [
+        (8, SpectralDensity(kind="ohmic-exponential", cutoff=10.0879), 1e-10),
+        (4, SpectralDensity(kind="ohmic-exponential", cutoff=50.0), 1e-10),
+        (32, SpectralDensity(kind="ohmic-exponential", cutoff=50.0), 1e-10),
+        (32, SpectralDensity(kind="hard-cutoff-flat", cutoff=1000.0), 1e-10),
+        (32, SpectralDensity(kind="hard-cutoff-flat", cutoff=300.0), 1e-13),
+        (32, SpectralDensity(kind="tabulated", table=TABLES["decaying"]), 1e-10),
+        (32, SpectralDensity(kind="tabulated", table=TABLES["ohmic-like"]), 1e-10),
+    ],
+    ids=["ohmic-8-10.0879", "ohmic-4-50", "ohmic-32-50", "flat-32-1000", "flat-32-300-tight",
+         "decaying-table-32", "ohmic-like-table-32"],
+)
+def test_decay_matches_kernel_sum(n, density, abs_tol):
+    seq = uhrig_pulse_times(n, 1.0)
+    start = time.perf_counter()
+    value = decay_factor(seq, density, abs_tol=abs_tol)
+    assert time.perf_counter() - start < 0.5
+    assert abs(value - kernel_sum_mp(seq, density)) <= 1e-10
+
+
+def test_decay_escalates_to_mpmath(monkeypatch):
+    # the double-precision bound for 32 pulses under a flat cutoff of 300 is
+    # about 1e-10, so a 1e-13 tolerance needs the mpmath recomputation
+    seq = uhrig_pulse_times(32, 1.0)
+    density = SpectralDensity(kind="hard-cutoff-flat", amplitude=1.0, cutoff=300.0)
+    workdps = mpmath.mp.workdps
+    digits = []
+    monkeypatch.setattr(mpmath.mp, "workdps", lambda dps: digits.append(dps) or workdps(dps))
+    value = decay_factor(seq, density, abs_tol=1e-13)
+    monkeypatch.undo()
+    assert len(digits) == 1 and digits[0] > 20
+    exact = kernel_sum_mp(seq, density)
+    assert abs(value - exact) <= 1e-13 + math.ulp(exact)
+
+
+def test_decay_random_inputs_meet_tolerance():
+    rng = np.random.default_rng(7)
+    for _ in range(12):
+        n = int(rng.integers(1, 13))
+        total = float(rng.uniform(0.5, 2.0))
+        seq = PulseSequence.from_pulses(np.sort(rng.uniform(0.0, total, n)), total)
+        ws = np.cumsum(rng.uniform(0.2, 5.0, 5)) - float(rng.uniform(0.0, 0.2))
+        for density in [
+            SpectralDensity(kind="hard-cutoff-flat", amplitude=1.0, cutoff=float(rng.uniform(1, 300))),
+            SpectralDensity(kind="ohmic-exponential", amplitude=1.0, cutoff=float(rng.uniform(0.1, 50))),
+            SpectralDensity(kind="tabulated", amplitude=1.0,
+                            table=tuple(zip(ws, rng.uniform(0.0, 3.0, 5)))),
+        ]:
+            exact = kernel_sum_mp(seq, density)
+            for abs_tol in (1e-10, 1e-12):
+                value = decay_factor(seq, density, abs_tol=abs_tol)
+                assert abs(value - exact) <= abs_tol + math.ulp(exact)
+
+
+# the true values are far below 1e-10; the double-precision sums of the last
+# two cancel to about -1e-15
+@pytest.mark.parametrize(
+    "kind,n,cutoff",
+    [
+        ("ohmic-exponential", 32, 0.1),
+        ("hard-cutoff-flat", 8, 1.0),
+        ("ohmic-exponential", 16, 0.3),
+    ],
+)
+def test_decay_suppressed_regime_within_tolerance(kind, n, cutoff):
+    seq = uhrig_pulse_times(n, 1.0)
+    density = SpectralDensity(kind=kind, amplitude=1.0, cutoff=cutoff)
+    assert 0.0 <= decay_factor(seq, density) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +516,13 @@ def test_density_json_tabulated():
         {"kind": "tabulated", "table": [[0.0, 1.0], [2.0, 3.0]]}
     )
     assert dens.table == ((0.0, 1.0), (2.0, 3.0))
+
+
+def test_density_json_rejects_nan(tmp_path):
+    path = tmp_path / "dens.json"
+    path.write_text('{"kind": "ohmic-exponential", "amplitude": 1.0, "cutoff": NaN}')
+    with pytest.raises(InvalidInputError):
+        load_spectral_density(path)
 
 
 def test_density_json_invalid():
