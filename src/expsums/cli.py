@@ -26,17 +26,13 @@ import numpy as np
 
 from . import bounds, dephasing, sequences
 from .errors import InvalidInputError, PrecisionError, QuadratureError
-from .expsum import Interval, derivative_magnitudes
+from .expsum import Interval, _f17, _first_order, derivative_magnitudes
 from .sequences import scaled_sum, uhrig_sum
 
 EXIT_OK = 0
 EXIT_CLAIM_FAILED = 1
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
-
-
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -75,15 +71,7 @@ def cmd_verify_multiplicity(args) -> int:
     expected = args.n + 1
     cap = 2 * len(g) + 8
     pairs = derivative_magnitudes(g, 0.0, cap, dps=args.digits)
-    order = None
-    for m, (value, bound) in enumerate(pairs):
-        if bound == 0.0:
-            if value > 0.0:
-                raise PrecisionError(f"zero bound with nonzero value at order {m}")
-            continue
-        if value > args.tol * bound:
-            order = m
-            break
+    order = _first_order(pairs, args.tol)
     shown = pairs[: (order if order is not None else cap) + 1]
     if args.format == "json":
         doc = {
@@ -205,9 +193,10 @@ def cmd_filter(args) -> int:
         omegas = np.geomspace(args.omega_min, args.omega_max, args.points)
     else:
         omegas = np.linspace(args.omega_min, args.omega_max, args.points)
-    rows = "".join(
-        f"{_f17(w)},{_f17(abs(dephasing.filter_function(seq, w)))}\n" for w in omegas
-    )
+    f = dephasing.filter_function(seq, omegas)
+    # np.hypot rounds like abs() of a complex; np.abs can differ in the last bit
+    values = np.hypot(f.real, f.imag)
+    rows = "".join(f"{_f17(w)},{_f17(v)}\n" for w, v in zip(omegas, values))
     _emit("omega,abs\n" + rows, args.out)
     return EXIT_OK
 

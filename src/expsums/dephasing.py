@@ -11,9 +11,10 @@ Lambda(omega) is chi = integral_0^inf Lambda(omega)*|f(omega)|^2 domega.
 
 Collecting terms, f is itself an exponential sum in omega with exponents t_j
 and coefficients (1, -2, +2, ..., -(-1)^n); :func:`filter_expsum` builds that
-form so the generic machinery (vanishing order, etc.) applies.  The direct
+form so the generic machinery (vanishing order, etc.) applies.  The telescoped
 summation in :func:`filter_function` is kept independent so the two routes
-can be checked against each other.
+can be checked against each other.  The sequence type, the sin^2 timings and
+the coefficients come from :mod:`expsums.sequences`.
 
 The same form makes chi exact and finite (the filter-function formalism of
 Cywinski, Lutchyn, Nave and Das Sarma, PRB 77, 174509, 2008): with
@@ -31,26 +32,24 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import mpmath
 import numpy as np
 from mpmath import mp
 
 from .errors import InvalidInputError, PrecisionError
-from .expsum import ExpSum, vanishing_order
+from .expsum import ExpSum, _f17, vanishing_order
+from .sequences import PulseSequence, _coefficients, _sin2
 
 __all__ = [
-    "PulseSequence",
     "SpectralDensity",
     "filter_function",
     "filter_expsum",
     "decay_factor",
     "vanishing_order_filter",
     "uhrig_filter_magnitude",
-    "min_separation",
     "load_pulse_sequence",
     "load_spectral_density",
     "sequence_to_json",
@@ -61,70 +60,27 @@ OHMIC = "ohmic-exponential"
 TABULATED = "tabulated"
 
 
-@dataclass(frozen=True)
-class PulseSequence:
-    """Strictly increasing time grid with t_0 = 0 and t_{n+1} = T exactly."""
-
-    times: tuple[float, ...]
-
-    def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
-        object.__setattr__(self, "times", times)
-        if len(times) < 2:
-            raise InvalidInputError("a pulse sequence needs at least the two endpoints")
-        if times[0] != 0.0:
-            raise InvalidInputError(f"first time must be exactly 0, got {times[0]!r}")
-        if not all(map(math.isfinite, times)):
-            raise InvalidInputError("times must be finite")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise InvalidInputError("times must be strictly increasing")
-
-    @classmethod
-    def from_pulses(cls, pulses: Sequence[float], total_time: float) -> "PulseSequence":
-        """Build from the n interior pulse times and the total duration."""
-        return cls(times=(0.0, *map(float, pulses), float(total_time)))
-
-    @property
-    def n_pulses(self) -> int:
-        return len(self.times) - 2
-
-    @property
-    def total_time(self) -> float:
-        return self.times[-1]
-
-    @cached_property
-    def min_separation(self) -> float:
-        """Smallest consecutive difference, endpoints included."""
-        return min(b - a for a, b in zip(self.times, self.times[1:]))
-
-
-def min_separation(seq: PulseSequence) -> float:
-    return seq.min_separation
-
-
-def filter_function(seq: PulseSequence, omega: float) -> complex:
-    """The alternating telescoped sum of exp(i*t_j*omega) differences."""
-    if not math.isfinite(omega):
-        raise InvalidInputError(f"omega must be finite, got {omega}")
+def filter_function(seq: PulseSequence, omega):
+    """The alternating telescoped sum of exp(i*t_j*omega) differences: a
+    complex for a scalar omega, a complex array for an array of them."""
+    w = np.asarray(omega, dtype=float)
+    nonfinite = w[~np.isfinite(w)]
+    if nonfinite.size:
+        raise InvalidInputError(f"omega must be finite, got {nonfinite[0]}")
     t = seq.times
-    total = 0j
+    re, im = np.zeros(w.shape), np.zeros(w.shape)
     for j in range(len(t) - 1):
-        total += (-1) ** j * (
-            complex(math.cos(t[j] * omega), math.sin(t[j] * omega))
-            - complex(math.cos(t[j + 1] * omega), math.sin(t[j + 1] * omega))
-        )
-    return total
+        sign = (-1) ** j
+        re = re + sign * (np.cos(t[j] * w) - np.cos(t[j + 1] * w))
+        im = im + sign * (np.sin(t[j] * w) - np.sin(t[j + 1] * w))
+    total = re + 1j * im
+    return complex(total) if np.isscalar(omega) else total
 
 
 def filter_expsum(seq: PulseSequence) -> ExpSum:
-    """The filter function as an exponential sum in omega.
-
-    Adjacent differences share each interior time, so interior coefficients
-    are +-2 while the endpoints contribute 1 and -(-1)^n.
-    """
-    n = seq.n_pulses
-    coeffs = [1.0] + [2.0 * (-1.0) ** j for j in range(1, n + 1)] + [-((-1.0) ** n)]
-    return ExpSum(coefficients=tuple(coeffs), exponents=tuple(seq.times))
+    """The filter function as an exponential sum in omega: exponents t_j and
+    the coefficients (1, -2, +2, ..., -(-1)^n)."""
+    return ExpSum(coefficients=_coefficients(seq.n_pulses), exponents=seq.times)
 
 
 def vanishing_order_filter(
@@ -150,19 +106,17 @@ def uhrig_filter_magnitude(n: int, total_time: float, omega: float, dps: int = 5
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
-    if not total_time > 0:
-        raise InvalidInputError(f"total time must be positive, got {total_time}")
+    if not 0 < total_time < math.inf:
+        raise InvalidInputError(f"total time must be finite and positive, got {total_time}")
+    if not math.isfinite(omega):
+        raise InvalidInputError(f"omega must be finite, got {omega}")
+    d = _sin2(n, dps)
     with mp.workdps(dps):
         T = mpmath.mpf(total_time)
         w = mpmath.mpf(omega)
-        times = (
-            [mpmath.mpf(0)]
-            + [T * mpmath.sin(j * mpmath.pi / (2 * n + 2)) ** 2 for j in range(1, n + 1)]
-            + [T]
-        )
-        coeffs = [1] + [2 * (-1) ** j for j in range(1, n + 1)] + [-((-1) ** n)]
+        times = [mpmath.mpf(0), *(T * x for x in d), T]
         value = mpmath.fsum(
-            (c * mpmath.exp(1j * t * w) for c, t in zip(coeffs, times)),
+            (c * mpmath.exp(1j * t * w) for c, t in zip(_coefficients(n), times)),
             absolute=False,
         )
         return float(abs(value))
@@ -310,7 +264,7 @@ def decay_factor(seq: PulseSequence, density: SpectralDensity, abs_tol: float = 
         raise InvalidInputError(f"abs_tol must be positive, got {abs_tol}")
     if density.amplitude == 0.0:
         return 0.0
-    coeffs = np.array([c.real for c in filter_expsum(seq).coefficients])
+    coeffs = np.array(_coefficients(seq.n_pulses))
     j, k = np.triu_indices(len(coeffs), 1)
     # |c_j c_k| are powers of two, so the weights are exact
     weights = 2 * coeffs[j] * coeffs[k]
@@ -337,10 +291,6 @@ def decay_factor(seq: PulseSequence, density: SpectralDensity, abs_tol: float = 
 
 # ---------------------------------------------------------------------------
 # file formats
-
-def _f17(x: float) -> str:
-    return format(float(x), ".17g")
-
 
 def sequence_to_json(seq: PulseSequence) -> str:
     times = ", ".join(_f17(t) for t in seq.times)

@@ -16,7 +16,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from typing import IO, NamedTuple, Optional, Sequence
+from typing import IO, Iterable, NamedTuple, Optional
 
 import mpmath
 import numpy as np
@@ -203,19 +203,17 @@ def _default_dps(g: ExpSum) -> int:
     return 30 + 2 * max(len(g) - 2, 0)
 
 
-def _magnitudes_up_to(
-    g: ExpSum, t0: float, max_order: int, dps: Optional[int], stop_rel: Optional[float]
-) -> list[tuple[float, float]]:
-    """(|g^(m)(t0)|, sup bound) for m = 0.., computed incrementally in mpmath.
+def _magnitudes_up_to(g: ExpSum, t0: float, max_order: int, dps: Optional[int]):
+    """Yield (|g^(m)(t0)|, sup bound) for m = 0..max_order, computed
+    incrementally in mpmath, so that a caller can stop at any order.
 
-    Stops after max_order, or as soon as the relative magnitude exceeds
-    ``stop_rel`` when that is given.
+    The working precision is set around each step rather than across the
+    yields, so the caller never runs under it.
     """
     _real_exponents(g)
     if dps is None:
         dps = _default_dps(g)
     dps = max(dps, _default_dps(g))
-    out = []
     with mp.workdps(dps):
         t = mpmath.mpf(t0)
         factors = [
@@ -225,16 +223,14 @@ def _magnitudes_up_to(
         rotations = [1j * mpmath.mpf(lam.real) for lam in g.exponents]
         bounds = [mpmath.mpf(abs(a)) for a in g.coefficients]
         bound_factors = [abs(r) for r in rotations]
-        for m in range(max_order + 1):
+    for m in range(max_order + 1):
+        with mp.workdps(dps):
             if m > 0:
                 factors = [f * r for f, r in zip(factors, rotations)]
                 bounds = [b * bf for b, bf in zip(bounds, bound_factors)]
             value = float(abs(mpmath.fsum(factors, absolute=False)))
             bound = float(mpmath.fsum(bounds))
-            out.append((value, bound))
-            if stop_rel is not None and bound > 0.0 and value > stop_rel * bound:
-                break
-    return out
+        yield value, bound
 
 
 def derivative_magnitudes(
@@ -247,7 +243,7 @@ def derivative_magnitudes(
     """
     if max_order < 0:
         raise InvalidInputError(f"max_order must be nonnegative, got {max_order}")
-    return _magnitudes_up_to(g, t0, max_order, dps, stop_rel=None)
+    return list(_magnitudes_up_to(g, t0, max_order, dps))
 
 
 def vanishing_order(
@@ -265,11 +261,17 @@ def vanishing_order(
     zero sup bound coexists with a nonzero computed value, which can only be
     a precision artifact.
     """
-    if not 0 < rel_tol < 1e-3:
-        raise InvalidInputError(f"rel_tol must lie in (0, 1e-3), got {rel_tol}")
     if m_max is None:
         m_max = 2 * len(g) + 8
-    pairs = _magnitudes_up_to(g, t0, m_max, dps, stop_rel=rel_tol)
+    return _first_order(_magnitudes_up_to(g, t0, m_max, dps), rel_tol)
+
+
+def _first_order(pairs: Iterable[tuple[float, float]], rel_tol: float) -> Optional[int]:
+    """The first m whose (|g^(m)|, bound) pair has |g^(m)| > rel_tol * bound,
+    or ``None``; ``rel_tol`` must lie in (0, 1e-3).  Checks ``rel_tol``
+    before drawing a pair and draws none past the answer."""
+    if not 0 < rel_tol < 1e-3:
+        raise InvalidInputError(f"rel_tol must lie in (0, 1e-3), got {rel_tol}")
     for m, (value, bound) in enumerate(pairs):
         if bound == 0.0:
             if value > 0.0:

@@ -14,23 +14,29 @@ a zero of order n+1 at t = 0.  Two rescalings are provided: ``scaled_sum``
 stretches the exponents to 9/b^2 * d_k so that consecutive gaps are at least
 1, and ``unit_gap_sum`` normalizes by the first fraction (exponents d_k/d_1)
 to the same effect.
+
+Every builder here and in :mod:`expsums.dephasing` takes the fractions from
+``_sin2`` (floats, or mpf at any precision) and the coefficients from
+``_coefficients``.  :class:`PulseSequence` lives here, so ``dephasing``
+imports this module and never the other way round.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Optional, Sequence
 
 import mpmath
-import numpy as np
 from mpmath import mp
 
-from .dephasing import PulseSequence
 from .errors import InvalidInputError
 from .expsum import EXACT_TOL, ExpSum
 
 __all__ = [
+    "PulseSequence",
     "UhrigFractions",
     "GapReport",
     "uhrig_fractions",
@@ -50,6 +56,63 @@ def _require_even_positive(n: int) -> None:
         raise InvalidInputError(f"n must be an even integer >= 2, got {n}")
 
 
+def _sin2(n: int, dps: Optional[int] = None) -> list:
+    """The fractions sin^2(k*pi/(2n+2)), k = 1..n, computed directly as sin^2
+    (no cancellation): Python floats from ``math.sin``, or mpf values at
+    ``dps`` significant digits."""
+    if dps is None:
+        sin, pi, context = math.sin, math.pi, contextlib.nullcontext()
+    elif dps < 1:
+        raise InvalidInputError(f"dps must be >= 1, got {dps}")
+    else:
+        sin, pi, context = mpmath.sin, mpmath.pi, mp.workdps(dps)
+    with context:
+        return [sin(k * pi / (2 * n + 2)) ** 2 for k in range(1, n + 1)]
+
+
+def _coefficients(n: int) -> tuple[float, ...]:
+    """(1, -2, +2, ..., -(-1)^n) for the exponents 0, d_1..d_n, 1: adjacent
+    differences of an alternating sum share each interior term."""
+    return (1.0, *(2.0 * (-1.0) ** k for k in range(1, n + 1)), -((-1.0) ** n))
+
+
+@dataclass(frozen=True)
+class PulseSequence:
+    """Strictly increasing time grid with t_0 = 0 and t_{n+1} = T exactly."""
+
+    times: tuple[float, ...]
+
+    def __post_init__(self):
+        times = tuple(float(t) for t in self.times)
+        object.__setattr__(self, "times", times)
+        if len(times) < 2:
+            raise InvalidInputError("a pulse sequence needs at least the two endpoints")
+        if times[0] != 0.0:
+            raise InvalidInputError(f"first time must be exactly 0, got {times[0]!r}")
+        if not all(map(math.isfinite, times)):
+            raise InvalidInputError("times must be finite")
+        if any(b <= a for a, b in zip(times, times[1:])):
+            raise InvalidInputError("times must be strictly increasing")
+
+    @classmethod
+    def from_pulses(cls, pulses: Sequence[float], total_time: float) -> "PulseSequence":
+        """Build from the n interior pulse times and the total duration."""
+        return cls(times=(0.0, *map(float, pulses), float(total_time)))
+
+    @property
+    def n_pulses(self) -> int:
+        return len(self.times) - 2
+
+    @property
+    def total_time(self) -> float:
+        return self.times[-1]
+
+    @cached_property
+    def min_separation(self) -> float:
+        """Smallest consecutive difference, endpoints included."""
+        return min(b - a for a, b in zip(self.times, self.times[1:]))
+
+
 @dataclass(frozen=True)
 class UhrigFractions:
     """The fractions d_k = sin^2(k*pi/(2n+2)), strictly increasing in (0, 1)."""
@@ -64,45 +127,31 @@ class UhrigFractions:
 
 
 def uhrig_fractions(n: int) -> UhrigFractions:
-    """d_1..d_n for even n >= 2, computed directly as sin^2 (no cancellation)."""
+    """d_1..d_n for even n >= 2."""
     _require_even_positive(n)
-    k = np.arange(1, n + 1)
-    d = np.sin(k * np.pi / (2 * n + 2)) ** 2
-    return UhrigFractions(n=n, d=tuple(float(x) for x in d))
+    return UhrigFractions(n=n, d=tuple(_sin2(n)))
 
 
 def alternating_power_sum(n: int, m: int, dps: int = 50) -> mpmath.mpf:
     """sum_{k=1..n} (-1)^k d_k^m evaluated at ``dps`` significant digits.
 
     Recomputes the fractions from scratch at working precision; equals 1/2
-    exactly for m = 1..n (and 0 for m = 0) when n is even.
+    exactly for m = 1..n (and 0 for m = 0) when n is even.  The interior
+    coefficients are 2*(-1)^k, so the sum is half their weighted sum.
     """
     _require_even_positive(n)
     if m < 0:
         raise InvalidInputError(f"power must be nonnegative, got {m}")
+    d = _sin2(n, dps)
     with mp.workdps(dps):
-        total = mpmath.fsum(
-            (-1) ** k * mpmath.sin(k * mpmath.pi / (2 * n + 2)) ** (2 * m)
-            for k in range(1, n + 1)
-        )
-    return total
-
-
-def _sum_terms(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    # n = 0 degenerates to the two-term sum 1 - e^{it}.
-    if n == 0:
-        return (1.0, -1.0), (0.0, 1.0)
-    d = uhrig_fractions(n).d
-    coeffs = (1.0,) + tuple(2.0 * (-1.0) ** k for k in range(1, n + 1)) + (-1.0,)
-    return coeffs, (0.0,) + d + (1.0,)
+        return mpmath.fsum(c * x ** m for c, x in zip(_coefficients(n)[1:-1], d)) / 2
 
 
 def uhrig_sum(n: int) -> ExpSum:
     """The sum with exponents (0, d_1, ..., d_n, 1) and coefficients
     (1, -2, +2, ..., -1); vanishes to order n+1 at t = 0 for even n."""
     _require_even_positive(n)
-    coeffs, exps = _sum_terms(n)
-    return ExpSum(coefficients=coeffs, exponents=exps)
+    return ExpSum(coefficients=_coefficients(n), exponents=(0.0, *_sin2(n), 1.0))
 
 
 def scaled_sum_order(b: float) -> int:
@@ -130,9 +179,9 @@ def scaled_sum(b: float) -> ExpSum:
     >= 1 for every b in (0, 3].
     """
     n = scaled_sum_order(b)
-    coeffs, exps = _sum_terms(n)
     scale = 9.0 / (b * b)
-    return ExpSum(coefficients=coeffs, exponents=tuple(scale * x for x in exps))
+    exps = tuple(scale * x for x in (0.0, *_sin2(n), 1.0))
+    return ExpSum(coefficients=_coefficients(n), exponents=exps)
 
 
 def rescaled_timings(n: int) -> tuple[float, ...]:
@@ -144,11 +193,9 @@ def rescaled_timings(n: int) -> tuple[float, ...]:
 def unit_gap_sum(n: int) -> ExpSum:
     """Same coefficients as :func:`uhrig_sum`, exponents (0, d_1/d_1, ...,
     d_n/d_1, 1/d_1); the first-fraction normalization makes every gap >= 1."""
-    _require_even_positive(n)
     d = uhrig_fractions(n).d
-    coeffs = (1.0,) + tuple(2.0 * (-1.0) ** k for k in range(1, n + 1)) + (-1.0,)
-    exps = (0.0,) + tuple(x / d[0] for x in d) + (1.0 / d[0],)
-    return ExpSum(coefficients=coeffs, exponents=exps)
+    exps = (0.0, *(x / d[0] for x in d), 1.0 / d[0])
+    return ExpSum(coefficients=_coefficients(n), exponents=exps)
 
 
 def uhrig_pulse_times(n: int, total_time: float) -> PulseSequence:
@@ -162,8 +209,7 @@ def uhrig_pulse_times(n: int, total_time: float) -> PulseSequence:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     if not total_time > 0:
         raise InvalidInputError(f"total time must be positive, got {total_time}")
-    pulses = [total_time * math.sin(j * math.pi / (2 * n + 2)) ** 2 for j in range(1, n + 1)]
-    return PulseSequence(times=(0.0, *pulses, float(total_time)))
+    return PulseSequence.from_pulses([total_time * d for d in _sin2(n)], total_time)
 
 
 @dataclass(frozen=True)

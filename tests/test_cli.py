@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
+from expsums import filter_function, uhrig_pulse_times
 from expsums.cli import main
+from expsums.expsum import _f17
 
 
 def run(capsys, *argv):
@@ -73,6 +75,13 @@ def test_verify_multiplicity_json_n10(capsys):
 def test_verify_multiplicity_rejects_odd(capsys):
     code, _, _ = run(capsys, "verify-multiplicity", "--n", "3")
     assert code == 2
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "0.5", "nan"])
+def test_verify_multiplicity_rejects_bad_tolerance(capsys, tol):
+    code, out, err = run(capsys, "verify-multiplicity", "--n", "4", "--tol", tol)
+    assert code == 2
+    assert out == "" and "rel_tol" in err
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +243,19 @@ def test_filter_from_file(capsys, tmp_path):
     )
     assert code == 0
     assert len(out.strip().splitlines()) == 10
+
+
+def test_filter_rows_match_scalar_filter_function(capsys):
+    # one vectorised call per invocation, row for row the scalar values
+    code, out, _ = run(
+        capsys, "filter", "--n", "7", "--T", "1.5", "--omega-min", "-40",
+        "--omega-max", "300", "--points", "777",
+    )
+    assert code == 0
+    seq = uhrig_pulse_times(7, 1.5)
+    for line in out.splitlines()[1:]:
+        w, magnitude = line.split(",")
+        assert magnitude == _f17(abs(filter_function(seq, float(w))))
 
 
 def test_filter_requires_a_sequence(capsys):

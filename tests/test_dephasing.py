@@ -17,7 +17,6 @@ from expsums import (
     filter_function,
     load_pulse_sequence,
     load_spectral_density,
-    min_separation,
     sequence_to_json,
     uhrig_filter_magnitude,
     uhrig_pulse_times,
@@ -57,7 +56,6 @@ def test_sequence_accessors():
     assert seq.n_pulses == 2
     assert seq.total_time == 1.0
     assert seq.min_separation == pytest.approx(0.25, abs=1e-15)
-    assert min_separation(seq) == seq.min_separation
 
 
 def test_from_pulses():
@@ -141,6 +139,20 @@ def test_filter_rejects_nonfinite_frequency():
         filter_function(FREE, math.inf)
 
 
+def test_filter_array_matches_scalar_calls():
+    rng = np.random.default_rng(3)
+    sequences = [FREE, ECHO, uhrig_pulse_times(9, 2.0)]
+    sequences.append(PulseSequence.from_pulses(np.sort(rng.uniform(0.0, 3.0, 6)), 3.0))
+    ws = rng.uniform(-500.0, 500.0, 300)
+    for seq in sequences:
+        values = filter_function(seq, ws)
+        assert values.shape == ws.shape
+        assert isinstance(filter_function(seq, 1.5), complex)
+        assert values.tolist() == [filter_function(seq, w) for w in ws]
+    with pytest.raises(InvalidInputError):
+        filter_function(FREE, np.array([0.0, math.nan]))
+
+
 # ---------------------------------------------------------------------------
 # vanishing order of the filter
 
@@ -181,6 +193,19 @@ def test_uhrig_filter_magnitude_validation():
         uhrig_filter_magnitude(0, 1.0, 1.0)
     with pytest.raises(InvalidInputError):
         uhrig_filter_magnitude(2, 0.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "total_time, omega", [(1.0, math.inf), (1.0, math.nan), (math.inf, 1.0)]
+)
+def test_uhrig_filter_magnitude_rejects_nonfinite(total_time, omega):
+    with pytest.raises(InvalidInputError):
+        uhrig_filter_magnitude(4, total_time, omega)
+
+
+def test_uhrig_filter_magnitude_rejects_nonpositive_digits():
+    with pytest.raises(InvalidInputError):
+        uhrig_filter_magnitude(4, 1.0, 1.0, dps=0)
 
 
 # ---------------------------------------------------------------------------

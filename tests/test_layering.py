@@ -1,0 +1,62 @@
+"""The package's modules import each other without cycles."""
+
+import ast
+from pathlib import Path
+
+import expsums
+
+PACKAGE = Path(expsums.__file__).parent
+
+
+def module_imports() -> dict[str, set[str]]:
+    """Sibling modules imported by each module of the package."""
+    names = {path.stem for path in PACKAGE.glob("*.py")}
+    graph = {}
+    for path in PACKAGE.glob("*.py"):
+        found = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                if node.level == 1 and node.module:
+                    found.add(node.module.split(".")[0])
+                elif node.level == 1:
+                    found.update(alias.name for alias in node.names)
+                elif node.module and node.module.startswith("expsums."):
+                    found.add(node.module.split(".")[1])
+            elif isinstance(node, ast.Import):
+                found.update(
+                    alias.name.split(".")[1] for alias in node.names
+                    if alias.name.startswith("expsums.")
+                )
+        graph[path.stem] = found & names
+    return graph
+
+
+def test_graph_sees_known_imports():
+    graph = module_imports()
+    assert "expsum" in graph["sequences"]
+    assert {"expsum", "sequences"} <= graph["dephasing"]
+    assert {"bounds", "dephasing", "sequences"} <= graph["cli"]
+
+
+def test_sequences_does_not_import_dephasing():
+    assert "dephasing" not in module_imports()["sequences"]
+
+
+def test_module_imports_are_acyclic():
+    graph = module_imports()
+    graph.pop("__init__")  # the package namespace imports every module
+    done, active = set(), []
+
+    def visit(module):
+        if module in active:
+            raise AssertionError("import cycle: " + " -> ".join(active + [module]))
+        if module in done:
+            return
+        active.append(module)
+        for target in sorted(graph[module] - {"__init__"}):
+            visit(target)
+        active.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)

@@ -9,6 +9,7 @@ from expsums import (
     cheb_nodes,
     alternating_power_sum,
     evaluate,
+    filter_expsum,
     from_json,
     gap_check,
     rescaled_timings,
@@ -72,6 +73,11 @@ def test_alternating_power_sum_half_up_to_n():
         for m in range(1, n + 1):
             residual = abs(alternating_power_sum(n, m) - mpmath.mpf(1) / 2)
             assert residual < 1e-30
+
+
+def test_alternating_power_sum_rejects_nonpositive_digits():
+    with pytest.raises(InvalidInputError):
+        alternating_power_sum(4, 2, dps=0)
 
 
 def test_alternating_power_sum_breaks_above_n():
@@ -174,6 +180,16 @@ def test_uhrig_pulse_times_endpoint_exact():
         seq = uhrig_pulse_times(n, T)
         assert seq.times[-1] == T
         assert seq.min_separation > 0
+
+
+def test_one_construction_bitwise():
+    # the sum, the pulse times and the fractions share one sin^2 construction
+    for n in range(2, 401, 2):
+        g = uhrig_sum(n)
+        seq = uhrig_pulse_times(n, 1.0)
+        exponents = tuple(x.real for x in g.exponents[1:-1])
+        assert exponents == seq.times[1:-1] == uhrig_fractions(n).d
+        assert filter_expsum(seq) == g
 
 
 def test_uhrig_pulse_times_validation():
