@@ -363,7 +363,7 @@ def l1_norm(g: ExpSum, interval: Interval, abs_tol: float = 1e-10) -> float:
     :class:`~expsums.errors.QuadratureError` (with partial result and achieved
     tolerance attached) if the subdivision cap is reached.
     """
-    if abs_tol <= 0:
+    if not abs_tol > 0:
         raise InvalidInputError(f"abs_tol must be positive, got {abs_tol}")
     _real_exponents(g)
 

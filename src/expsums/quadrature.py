@@ -7,12 +7,18 @@ bisection also copes with integrands that are merely continuous, such as the
 absolute value of an oscillating function at its zero crossings).
 
 Subdivision is capped at depth ``max_depth``, i.e. at most 2**max_depth leaf
-subintervals.  Recursion is depth-first left to right, so the summation order
-and hence the result are deterministic.
+subintervals.  The panel tree is built one depth level at a time: the integrand
+is called once per level on the 46 nodes of all its panels (in slices of at
+most ``_SLICE_POINTS`` points, so memory stays flat however wide a level
+grows).  The result is then summed bottom-up along the tree, a split panel
+taking left child + right child, which is the summation order of a depth-first
+left-to-right recursion: the value and error estimate are deterministic and do
+not depend on the slicing.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -23,15 +29,25 @@ __all__ = ["adaptive_gauss_legendre"]
 
 _GL_LO = np.polynomial.legendre.leggauss(15)
 _GL_HI = np.polynomial.legendre.leggauss(31)
+_NODES = np.concatenate([_GL_LO[0], _GL_HI[0]])
+_N_LO = len(_GL_LO[0])
+
+# Largest number of integrand points passed to one call of ``f``.
+_SLICE_POINTS = 65_536
 
 
-def _panel(f, lo: float, hi: float) -> tuple[float, float]:
-    """Integrate one panel; return (high-order value, error estimate)."""
-    mid = 0.5 * (lo + hi)
-    halfwidth = 0.5 * (hi - lo)
-    v_lo = halfwidth * float(np.dot(_GL_LO[1], f(mid + halfwidth * _GL_LO[0])))
-    v_hi = halfwidth * float(np.dot(_GL_HI[1], f(mid + halfwidth * _GL_HI[0])))
-    return v_hi, abs(v_hi - v_lo)
+def _panels(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate the panels [a_i, b_i]; return (high-order values, error estimates)."""
+    mid = 0.5 * (a + b)
+    halfwidth = 0.5 * (b - a)
+    ts = (mid[:, None] + halfwidth[:, None] * _NODES).ravel()
+    rows = np.asarray(f(ts)).reshape(len(a), len(_NODES))
+    # np.vecdot takes the 1-D dot of np.dot row by row, so each panel sums in
+    # the same order as a lone np.dot(w, f(nodes)); a matrix-vector product
+    # (rows @ w) sums in another order and changes the last bits
+    v_lo = halfwidth * np.vecdot(_GL_LO[1], rows[:, :_N_LO])
+    v_hi = halfwidth * np.vecdot(_GL_HI[1], rows[:, _N_LO:])
+    return v_hi, np.abs(v_hi - v_lo)
 
 
 def adaptive_gauss_legendre(
@@ -43,27 +59,50 @@ def adaptive_gauss_legendre(
 ) -> tuple[float, float]:
     """Integrate ``f`` (vectorized, real-valued) over [lo, hi] to ``abs_tol``.
 
+    ``f`` receives a 1-D array of nodes and returns the integrand there.
     Returns ``(value, error_estimate)`` with error_estimate <= abs_tol on
     success.  Raises :class:`QuadratureError` (carrying the partial value and
     the achieved error) if some subinterval still fails its local tolerance
-    share at the subdivision cap.
+    share at the subdivision cap, and at once if a panel's value or error
+    estimate is not finite.
     """
-    if abs_tol <= 0:
+    if not abs_tol > 0:
         raise QuadratureError(f"abs_tol must be positive, got {abs_tol}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise QuadratureError(f"integration limits must be finite, got [{lo}, {hi}]")
     if not hi > lo:
         raise QuadratureError(f"empty integration interval [{lo}, {hi}]")
     total_len = hi - lo
+    per_slice = _SLICE_POINTS // len(_NODES)
 
-    def recurse(a: float, b: float, depth: int) -> tuple[float, float]:
-        value, err = _panel(f, a, b)
-        if err <= abs_tol * (b - a) / total_len or depth >= max_depth:
-            return value, err
+    # levels[d] = (values, error estimates, split mask) of the panels at depth d
+    levels = []
+    a = np.array([lo], dtype=float)
+    b = np.array([hi], dtype=float)
+    while len(a):
+        value = np.empty(len(a))
+        err = np.empty(len(a))
+        for s in range(0, len(a), per_slice):
+            part = slice(s, s + per_slice)
+            value[part], err[part] = _panels(f, a[part], b[part])
+            bad = ~np.isfinite(err[part])
+            if bad.any():
+                i = s + int(np.argmax(bad))
+                raise QuadratureError(f"integrand is not finite on [{a[i]!r}, {b[i]!r}]")
+        split = (err > abs_tol * (b - a) / total_len) & (len(levels) < max_depth)
+        levels.append((value, err, split))
+        a, b = a[split], b[split]
         mid = 0.5 * (a + b)
-        lv, le = recurse(a, mid, depth + 1)
-        rv, re = recurse(mid, b, depth + 1)
-        return lv + rv, le + re
+        a, b = np.column_stack([a, mid]).ravel(), np.column_stack([mid, b]).ravel()
 
-    value, err = recurse(lo, hi, 0)
+    # sum bottom-up: a split panel is worth its left child + its right child
+    value, err, _ = levels.pop()
+    while levels:
+        parent_value, parent_err, split = levels.pop()
+        parent_value[split] = value[0::2] + value[1::2]
+        parent_err[split] = err[0::2] + err[1::2]
+        value, err = parent_value, parent_err
+    value, err = float(value[0]), float(err[0])
     # leaves at the depth cap may miss their proportional share (e.g. stuck at
     # the roundoff floor next to a kink); only the summed estimate matters
     if err > abs_tol:
