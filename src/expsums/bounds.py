@@ -55,11 +55,14 @@ STIRLING_DOMAIN_MAX = 0.5 * math.exp(-2.0)
 def taylor_envelope(n: int, t: float) -> float:
     """(2n+1) * (e*|t|/(n+1))^(n+1), evaluated in log space for large n.
 
-    Values outside double range saturate to 0.0 / inf rather than raising.
+    Values outside double range saturate to 0.0 / inf rather than raising;
+    a NaN ``t`` raises.
     """
     if n < 2 or n % 2 != 0:
         raise InvalidInputError(f"n must be an even integer >= 2, got {n}")
     t = abs(float(t))
+    if math.isnan(t):
+        raise InvalidInputError("t must not be NaN")
     if t == 0.0:
         return 0.0
     log_val = math.log(2 * n + 1) + (n + 1) * (1.0 + math.log(t) - math.log(n + 1))
@@ -174,10 +177,10 @@ def scaling_fit(points: Sequence[tuple[float, float]]) -> ScanResult:
     if len(pts) < 3:
         raise InvalidInputError(f"need at least 3 points, got {len(pts)}")
     for a, v in pts:
-        if a <= 0:
-            raise InvalidInputError(f"parameters must be positive, got a={a}")
-        if v <= 0:
-            raise InvalidInputError(f"values must be positive, got {v} at a={a}")
+        if not (math.isfinite(a) and a > 0):
+            raise InvalidInputError(f"parameters must be positive and finite, got a={a}")
+        if not (math.isfinite(v) and v > 0):
+            raise InvalidInputError(f"values must be positive and finite, got {v} at a={a}")
     a_vals = [a for a, _ in pts]
     if len(set(a_vals)) != len(a_vals):
         raise InvalidInputError("parameters a must be distinct")

@@ -171,6 +171,20 @@ def test_scaling_fit_validation():
         scaling_fit([(-0.1, 1.0), (0.2, 1.0), (0.3, 1.0)])
 
 
+def test_scaling_fit_rejects_non_finite_points():
+    good = [(0.1, 1e-3), (0.05, 1e-6)]
+    for bad in [(0.2, math.nan), (0.2, math.inf), (math.nan, 0.5), (math.inf, 0.5)]:
+        with pytest.raises(InvalidInputError):
+            scaling_fit(good + [bad])
+
+
+def test_taylor_envelope_rejects_nan_but_saturates_at_inf():
+    with pytest.raises(InvalidInputError):
+        taylor_envelope(4, math.nan)
+    assert taylor_envelope(4, math.inf) == math.inf
+    assert taylor_envelope(4, -math.inf) == math.inf
+
+
 def test_lower_bound_probe_constant():
     g = ExpSum(coefficients=(1.0,), exponents=(0.0,))
     result = lower_bound_probe(g, Interval(y=0.0, a=1.0), delta=1.0)

@@ -280,6 +280,40 @@ def test_filter_rejects_bad_range(capsys):
 # ---------------------------------------------------------------------------
 # installed entry point
 
+def test_parser_is_built_once_and_reused(capsys):
+    from expsums import cli
+
+    calls = [
+        ["uhrig", "--n", "3", "--T", "2", "--format", "json"],
+        ["verify-multiplicity", "--n", "4"],
+        ["bounds-scan", "--family", "taylor", "--a-grid", "0.1,0.05,0.025"],
+        ["uhrig", "--n", "3"],  # missing --T: argparse exits 2
+        ["filter", "--n", "2", "--T", "1", "--omega-max", "5", "--points", "8"],
+        ["l1-scan", "--b-grid", "0.5"],
+    ]
+
+    def outcome(argv):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._parser.cache_clear()
+    reused = [outcome(argv) for argv in calls]
+    parser = cli._parser()
+    assert outcome(calls[0]) == reused[0] and cli._parser() is parser
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert cli._parser() is not parser
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 0, 0, 2, 0, 0]
+    assert "required" in reused[3][2]
+
+
 def test_console_script_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "expsums.cli", "uhrig", "--n", "1", "--T", "1"],

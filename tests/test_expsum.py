@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from expsums import (
     vanishing_order,
     write_scan_csv,
 )
+from expsums import expsum
+from expsums.expsum import _golden_max, _values_on_grid, default_grid_points
 
 ONE = ExpSum(coefficients=(1.0,), exponents=(0.0,))
 TWO_TERM = ExpSum(coefficients=(1.0, -1.0), exponents=(0.0, 1.0))
@@ -284,6 +287,195 @@ def test_sup_norm_grid_floor():
         sup_norm(ONE, Interval(y=0.0, a=1.0), grid_points=8)
 
 
+def test_sup_norm_rejects_non_integer_grid_points():
+    for points in (16.5, 32.0, "64"):
+        with pytest.raises(InvalidInputError):
+            sup_norm(ONE, Interval(y=0.0, a=1.0), grid_points=points)
+    assert sup_norm(ONE, Interval(y=0.0, a=1.0), grid_points=np.int64(32)).value == 1.0
+
+
+def test_sup_norm_rejects_interval_with_overflowing_right_end():
+    # l1_norm: test_l1_rejects_nan_tolerance_and_overflowing_interval
+    with pytest.raises(InvalidInputError):
+        sup_norm(uhrig_sum(4), Interval(y=1e308, a=1e308))
+    assert Interval(y=1e308, a=1e307).right == 1.1e308
+
+
+# ---------------------------------------------------------------------------
+# sup-norm refinement against the golden-section search it replaced
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_max(f, lo, hi, tol):
+    """The golden-section search on |g| that sup_norm used before Newton."""
+    a, b = lo, hi
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = f(d)
+    t = 0.5 * (a + b)
+    return f(t), t
+
+
+def golden_sup_norm(g, interval):
+    """sup_norm as it was with golden-section refinement: (value, argmax)."""
+    grid_points = default_grid_points(g, interval)
+    ts = np.linspace(interval.left, interval.right, grid_points)
+    vals = np.abs(_values_on_grid(g, ts))
+    interior = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
+    candidates = [i + 1 for i in np.flatnonzero(interior)] + [0, grid_points - 1]
+    candidates.sort(key=lambda i: vals[i], reverse=True)
+    h = (interval.right - interval.left) / (grid_points - 1)
+    tol = max(h * 1e-10, abs(interval.right) * 1e-15, 1e-300)
+    best_value, best_arg = float(vals.max()), float(ts[int(np.argmax(vals))])
+    for i in candidates[:3]:
+        lo, hi = ts[max(i - 1, 0)], ts[min(i + 1, grid_points - 1)]
+        value, arg = golden_max(lambda t: abs(evaluate(g, t)), float(lo), float(hi), tol)
+        if value > best_value:
+            best_value, best_arg = value, arg
+    return best_value, best_arg
+
+
+def termwise(g):
+    """(g, g', g'') at t, each exactly rounded: an objective for _golden_max."""
+    sums = [derivative(g, m) for m in range(3)]
+    return lambda t: tuple(evaluate(s, t) for s in sums)
+
+
+def refinement_cases():
+    for n in range(2, 42, 2):
+        for y in (-60.0, -37.0, -14.0, 9.0, 32.0, 55.0):
+            yield f"uhrig({n}) on [{y}, {y + 5}]", uhrig_sum(n), Interval(y=y, a=5.0)
+    for n in range(2, 18, 2):
+        b = 3.0 / (n + 1) * (1.0 - 0.01 * n)
+        yield f"Taylor n={n}", scaled_sum(b), Interval(y=-b / 9, a=2 * b / 9)
+    # n <= 8 resolves the sup; n = 10..16 sits in the double-precision noise
+    for n in range(4, 18, 2):
+        a = math.exp(-2.0) / n * (1.0 + 0.01 * n)
+        yield f"Stirling n={n}", unit_gap_sum(n), Interval(y=-a, a=2 * a)
+
+
+@pytest.mark.parametrize("name, g, interval", list(refinement_cases()))
+def test_sup_norm_matches_golden_section(name, g, interval):
+    r = sup_norm(g, interval)
+    oracle, _ = golden_sup_norm(g, interval)
+    # Both values are exactly rounded sums of rounded terms; each term's phase
+    # lambda_j*t is rounded too, which costs eps*|a_j|*|lambda_j*t| far from 0.
+    reach = max(abs(interval.left), abs(interval.right))
+    floor = math.fsum(abs(a) * max(1.0, abs(lam) * reach)
+                      for a, lam in zip(g.coefficients, g.exponents))
+    assert abs(r.value - oracle) <= 4 * sys.float_info.epsilon * floor, name
+    assert interval.left <= r.argmax <= interval.right
+    ts = np.linspace(interval.left, interval.right, default_grid_points(g, interval))
+    assert r.value >= np.abs(_values_on_grid(g, ts)).max()
+
+
+def counted_searches(monkeypatch):
+    """Route sup_norm's searches through a wrapper; returns the list that
+    collects (calls, lo, hi, tol, result) for each search."""
+    searched = []
+
+    def counting_search(f, lo, hi, tol):
+        calls = []
+        arg = _golden_max(lambda t: calls.append(t) or f(t), lo, hi, tol)
+        searched.append((len(calls), lo, hi, tol, arg))
+        return arg
+
+    monkeypatch.setattr(expsum, "_golden_max", counting_search)
+    return searched
+
+
+def call_cap(h, tol):
+    # two end checks, then at most bisection's count plus two Newton steps
+    return 2 + math.ceil(math.log2(2 * h / tol)) + 2
+
+
+@pytest.mark.parametrize("g, interval", [
+    (uhrig_sum(10), Interval(y=30.0, a=8.0)),
+    (uhrig_sum(40), Interval(y=-60.0, a=10.0)),
+    (scaled_sum(0.3), Interval(y=-0.3 / 9, a=0.6 / 9)),
+    # pure noise: the true sup is 9.9e-24, the computed values are roundoff
+    (unit_gap_sum(16), Interval(y=-math.exp(-2.0) / 16, a=2 * math.exp(-2.0) / 16)),
+])
+def test_refinement_calls_per_bracket(monkeypatch, g, interval):
+    searched = counted_searches(monkeypatch)
+    sup_norm(g, interval)
+    h = interval.length / (default_grid_points(g, interval) - 1)
+    assert searched
+    for calls, lo, hi, tol, arg in searched:
+        assert calls <= call_cap(h, tol)
+        assert arg is None or lo <= arg <= hi
+
+
+def test_refinement_calls_in_the_noise():
+    # every bracket of the pure-noise scan, searched on its own: the signs of
+    # the slope are roundoff, so many brackets pass the end check by chance
+    g = unit_gap_sum(16)
+    a = math.exp(-2.0) / 16
+    ts = np.linspace(-a, a, 1024)
+    h = ts[1] - ts[0]
+    tol = h * 1e-10
+    f = termwise(g)
+    found = 0
+    for lo, hi in zip(ts[:-2:4], ts[2::4]):
+        calls = []
+        arg = _golden_max(lambda t: calls.append(t) or f(t), float(lo), float(hi), tol)
+        assert len(calls) <= call_cap(h, tol)
+        if arg is not None:
+            found += 1
+            assert lo <= arg <= hi
+    assert found > 0
+
+
+def test_refinement_converges_in_a_few_newton_steps(monkeypatch):
+    # far from the zero at t = 0 every interior maximum is resolved
+    searched = counted_searches(monkeypatch)
+    for n in (2, 10, 24, 40):
+        for y in (-60.0, -33.0, 31.0, 47.0):
+            sup_norm(uhrig_sum(n), Interval(y=y, a=8.0))
+    interior = [calls for calls, *_, arg in searched if arg is not None]
+    assert interior and max(interior) <= 6
+
+
+def test_golden_max_finds_interior_maximum():
+    # |1 - e^{it}| = 2|sin(t/2)| peaks at pi
+    arg = _golden_max(termwise(TWO_TERM), 3.0, 3.3, 1e-12)
+    assert arg == pytest.approx(math.pi, abs=1e-12)
+
+
+def test_golden_max_bisects_when_newton_is_slow():
+    # phi = -(t - r)^3 as the slope: Newton gains only a factor 2/3 a step,
+    # from one side, so the step budget must hand over to bisection in time
+    r, tol = 0.3, 1e-12
+
+    def f(t):
+        phi, dphi = -(t - r) ** 3, -3 * (t - r) ** 2
+        return 1.0 + 0j, complex(phi), complex(dphi - phi * phi)
+
+    calls = []
+    arg = _golden_max(lambda t: calls.append(t) or f(t), 0.0, 1.0, tol)
+    assert abs(arg - r) <= tol
+    assert len(calls) <= 4 + math.ceil(math.log2(1.0 / tol))
+
+
+def test_golden_max_none_on_monotone_bracket():
+    calls = []
+    f = termwise(TWO_TERM)
+    counted = lambda t: calls.append(t) or f(t)
+    assert _golden_max(counted, 0.5, 2.0, 1e-12) is None  # increasing
+    assert _golden_max(counted, 3.5, 5.0, 1e-12) is None  # decreasing
+    assert len(calls) <= 4
+
+
 def test_abs_symmetry_for_real_data():
     # real coefficients and exponents give |g(-t)| = |g(t)|
     g = uhrig_sum(4)
@@ -329,7 +521,7 @@ def test_l1_rejects_nan_tolerance_and_overflowing_interval():
     with pytest.raises(InvalidInputError):
         l1_norm(uhrig_sum(4), Interval(y=0.0, a=1.0), abs_tol=float("nan"))
     # finite y and a whose right end overflows to inf
-    with pytest.raises(QuadratureError):
+    with pytest.raises(InvalidInputError):
         l1_norm(ONE, Interval(y=1e308, a=1e308))
 
 
