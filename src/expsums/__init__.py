@@ -7,127 +7,21 @@ against closed-form envelopes, and evaluates pulse-sequence filter functions
 and dephasing decay integrals.
 """
 
-from .bounds import (
-    EnvelopeCheck,
-    ProbeResult,
-    ScanResult,
-    check_stirling_envelope,
-    check_taylor_envelope,
-    lower_bound_probe,
-    scaling_fit,
-    stirling_envelope,
-    taylor_envelope,
-    taylor_envelope_b,
-    unit_gap_order_for_radius,
-)
-from .chebyshev import ChebNodeSet, cheb_nodes, cheb_u, endpoint_identity_residual
-from .dephasing import (
-    SpectralDensity,
-    decay_factor,
-    filter_expsum,
-    filter_function,
-    load_pulse_sequence,
-    load_spectral_density,
-    sequence_to_json,
-    uhrig_filter_magnitude,
-    vanishing_order_filter,
-)
-from .errors import (
-    InvalidInputError,
-    PrecisionError,
-    QuadratureError,
-    UnsupportedInputError,
-)
-from .expsum import (
-    ClassParams,
-    ExpSum,
-    Interval,
-    Membership,
-    SupNormResult,
-    class_membership,
-    derivative,
-    derivative_magnitudes,
-    derivative_sup_bound,
-    evaluate,
-    from_json,
-    l1_norm,
-    sup_norm,
-    to_json,
-    vanishing_order,
-    write_scan_csv,
-)
-from .sequences import (
-    GapReport,
-    PulseSequence,
-    UhrigFractions,
-    alternating_power_sum,
-    gap_check,
-    rescaled_timings,
-    scaled_sum,
-    scaled_sum_order,
-    uhrig_fractions,
-    uhrig_pulse_times,
-    uhrig_sum,
-    unit_gap_sum,
-)
+from . import bounds, chebyshev, dephasing, errors, expsum, sequences
+from .bounds import *
+from .chebyshev import *
+from .dephasing import *
+from .errors import *
+from .expsum import *
+from .sequences import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ChebNodeSet",
-    "ClassParams",
-    "EnvelopeCheck",
-    "ExpSum",
-    "GapReport",
-    "Interval",
-    "InvalidInputError",
-    "Membership",
-    "PrecisionError",
-    "ProbeResult",
-    "PulseSequence",
-    "QuadratureError",
-    "ScanResult",
-    "SpectralDensity",
-    "SupNormResult",
-    "UhrigFractions",
-    "UnsupportedInputError",
-    "alternating_power_sum",
-    "cheb_nodes",
-    "cheb_u",
-    "check_stirling_envelope",
-    "check_taylor_envelope",
-    "class_membership",
-    "decay_factor",
-    "derivative",
-    "derivative_magnitudes",
-    "derivative_sup_bound",
-    "endpoint_identity_residual",
-    "evaluate",
-    "filter_expsum",
-    "filter_function",
-    "from_json",
-    "gap_check",
-    "l1_norm",
-    "load_pulse_sequence",
-    "load_spectral_density",
-    "lower_bound_probe",
-    "rescaled_timings",
-    "scaled_sum",
-    "scaled_sum_order",
-    "scaling_fit",
-    "sequence_to_json",
-    "stirling_envelope",
-    "sup_norm",
-    "taylor_envelope",
-    "taylor_envelope_b",
-    "to_json",
-    "uhrig_filter_magnitude",
-    "uhrig_fractions",
-    "uhrig_pulse_times",
-    "uhrig_sum",
-    "unit_gap_order_for_radius",
-    "unit_gap_sum",
-    "vanishing_order",
-    "vanishing_order_filter",
-    "write_scan_csv",
+    *bounds.__all__,
+    *chebyshev.__all__,
+    *dephasing.__all__,
+    *errors.__all__,
+    *expsum.__all__,
+    *sequences.__all__,
 ]

@@ -24,21 +24,13 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, PrecisionError
-from .expsum import (
-    ClassParams,
-    ExpSum,
-    Interval,
-    class_membership,
-    l1_norm,
-    sup_norm,
-)
-from .sequences import scaled_sum, scaled_sum_order, unit_gap_sum
+from .expsum import ExpSum, Interval, l1_norm, sup_norm
+from .sequences import EXACT_TOL, gap_check, scaled_sum, scaled_sum_order, unit_gap_sum
 
 __all__ = [
     "ScanResult",
     "EnvelopeCheck",
     "ProbeResult",
-    "taylor_envelope",
     "taylor_envelope_b",
     "stirling_envelope",
     "unit_gap_order_for_radius",
@@ -50,25 +42,6 @@ __all__ = [
 
 #: Upper end of the Stirling envelope's domain, 1/(2*e^2).
 STIRLING_DOMAIN_MAX = 0.5 * math.exp(-2.0)
-
-
-def taylor_envelope(n: int, t: float) -> float:
-    """(2n+1) * (e*|t|/(n+1))^(n+1), evaluated in log space for large n.
-
-    Values outside double range saturate to 0.0 / inf rather than raising;
-    a NaN ``t`` raises.
-    """
-    if n < 2 or n % 2 != 0:
-        raise InvalidInputError(f"n must be an even integer >= 2, got {n}")
-    t = abs(float(t))
-    if math.isnan(t):
-        raise InvalidInputError("t must not be NaN")
-    if t == 0.0:
-        return 0.0
-    log_val = math.log(2 * n + 1) + (n + 1) * (1.0 + math.log(t) - math.log(n + 1))
-    if log_val > 709.0:
-        return math.inf
-    return math.exp(log_val)
 
 
 def taylor_envelope_b(b: float) -> float:
@@ -210,9 +183,10 @@ class ProbeResult(NamedTuple):
 def lower_bound_probe(g: ExpSum, interval: Interval, delta: float) -> ProbeResult:
     """Measure the L1 mass and report implied_c = -a*delta*log(l1).
 
-    The sum must satisfy the structural class conditions (|a_0| = 1, growth
-    Re(lambda_j) >= j*delta) and a*delta must lie in (0, pi].  implied_c is an
-    empirical witness: meaningful as a family statistic, not a certificate.
+    The sum must satisfy the structural class conditions (|a_0| = 1,
+    Re(lambda_0) = 0, Re(lambda_j) >= j*delta) and a*delta must lie in
+    (0, pi].  implied_c is an empirical witness: meaningful as a family
+    statistic, not a certificate.
     """
     if delta <= 0:
         raise InvalidInputError(f"delta must be positive, got {delta}")
@@ -221,12 +195,12 @@ def lower_bound_probe(g: ExpSum, interval: Interval, delta: float) -> ProbeResul
         raise InvalidInputError(
             f"a*delta must lie in (0, pi], got {product}"
         )
-    coeff_cap = max(1.0, max(abs(c) for c in g.coefficients))
-    member = class_membership(g, ClassParams(M=coeff_cap, mu=0, delta=delta))
-    if not member:
-        raise InvalidInputError(
-            f"sum violates the growth class at index {member.index}: {member.condition}"
-        )
+    if abs(abs(g.coefficients[0]) - 1.0) > EXACT_TOL:
+        raise InvalidInputError(f"|a_0| = {abs(g.coefficients[0])!r} != 1")
+    if abs(g.exponents[0].real) > EXACT_TOL:
+        raise InvalidInputError(f"Re(lambda_0) = {g.exponents[0].real!r} != 0")
+    if not gap_check([x.real for x in g.exponents], delta).growth_ok:
+        raise InvalidInputError(f"exponents violate Re(lambda_j) >= j*{delta!r}")
     value = l1_norm(g, interval)
     if value <= 0.0:
         raise PrecisionError(

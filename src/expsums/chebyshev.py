@@ -1,9 +1,10 @@
 """Chebyshev polynomials of the second kind and their zero sets.
 
-U_m is evaluated by the three-term recurrence.  The node set of U_{2n+1}
-carries the antisymmetry alpha_{2n+2-k} = -alpha_k exactly by construction:
-the right half of the node list is the mirrored negation of the left half,
-and the middle node is literally 0.0.
+U_m is evaluated by the three-term recurrence.  ``cheb_nodes(n)`` returns the
+zeros of U_{2n+1} as a plain tuple of 2n+1 floats in decreasing order, with
+alpha_k at index k-1.  The tuple carries the antisymmetry
+alpha_{2n+2-k} = -alpha_k exactly by construction: its right half is the
+mirrored negation of its left half, and its middle entry is literally 0.0.
 
 The endpoint identity implemented here states, for an even polynomial q of
 degree at most 2n (n even),
@@ -17,12 +18,11 @@ absolute defect of this identity for a given coefficient vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InvalidInputError
 
-__all__ = ["ChebNodeSet", "cheb_u", "cheb_nodes", "endpoint_identity_residual"]
+__all__ = ["cheb_u", "cheb_nodes", "endpoint_identity_residual"]
 
 
 def cheb_u(degree: int, x: float) -> float:
@@ -40,40 +40,8 @@ def cheb_u(degree: int, x: float) -> float:
     return cur
 
 
-@dataclass(frozen=True)
-class ChebNodeSet:
-    """Zeros cos(k*pi/(2n+2)), k = 1..2n+1, of U_{2n+1}, strictly decreasing.
-
-    ``n`` is the half-count parameter: the node list has 2n+1 entries, the
-    middle one (index n, i.e. k = n+1) is exactly 0.0, and nodes[2n+1-k] is
-    exactly -nodes[k-1].
-    """
-
-    n: int
-    nodes: tuple[float, ...]
-
-    def __post_init__(self):
-        if self.n < 0 or self.n % 2 != 0:
-            raise InvalidInputError(f"n must be an even nonnegative integer, got {self.n}")
-        if len(self.nodes) != 2 * self.n + 1:
-            raise InvalidInputError(
-                f"expected {2 * self.n + 1} nodes for n={self.n}, got {len(self.nodes)}"
-            )
-
-    def node(self, k: int) -> float:
-        """Return alpha_k, indexed k = 1..2n+1 as in the defining formula."""
-        if not 1 <= k <= 2 * self.n + 1:
-            raise InvalidInputError(f"k must be in 1..{2 * self.n + 1}, got {k}")
-        return self.nodes[k - 1]
-
-    @property
-    def positive_nodes(self) -> tuple[float, ...]:
-        """The first n nodes alpha_1 > ... > alpha_n > 0."""
-        return self.nodes[: self.n]
-
-
-def cheb_nodes(n: int) -> ChebNodeSet:
-    """Construct the 2n+1 zeros of U_{2n+1} for even n >= 0.
+def cheb_nodes(n: int) -> tuple[float, ...]:
+    """The 2n+1 zeros of U_{2n+1} for even n >= 0, alpha_k at index k-1.
 
     The left half is computed by cosine evaluation; the right half mirrors it
     with a sign flip so the antisymmetry holds bitwise.
@@ -81,8 +49,7 @@ def cheb_nodes(n: int) -> ChebNodeSet:
     if n < 0 or n % 2 != 0:
         raise InvalidInputError(f"n must be an even nonnegative integer, got {n}")
     half = [math.cos(k * math.pi / (2 * n + 2)) for k in range(1, n + 1)]
-    nodes = tuple(half) + (0.0,) + tuple(-a for a in reversed(half))
-    return ChebNodeSet(n=n, nodes=nodes)
+    return tuple(half) + (0.0,) + tuple(-a for a in reversed(half))
 
 
 def _even_part(coeffs: Sequence[float]) -> list[float]:
@@ -121,13 +88,11 @@ def endpoint_identity_residual(coeffs: Sequence[float], n: int) -> float:
     Returns |q(1) - q(0) - 2*sum_{k=1..n} (-1)^(k+1) q(alpha_k)|, which is
     zero up to roundoff for every admissible q.
     """
-    if n < 0 or n % 2 != 0:
-        raise InvalidInputError(f"n must be an even nonnegative integer, got {n}")
+    alpha = cheb_nodes(n)[:n]  # alpha_1 > ... > alpha_n > 0; rejects odd n
     even = _even_part(coeffs)
     degree = 2 * (len(even) - 1)
     if degree > 2 * n:
         raise InvalidInputError(f"degree {degree} exceeds the admissible 2n = {2 * n}")
-    alpha = cheb_nodes(n).positive_nodes
     terms = [(-1.0) ** (k + 1) * _eval_even(even, alpha[k - 1]) for k in range(1, n + 1)]
     alternating = 2.0 * math.fsum(terms)
     return abs(_eval_even(even, 1.0) - _eval_even(even, 0.0) - alternating)

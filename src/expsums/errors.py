@@ -1,5 +1,12 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "InvalidInputError",
+    "UnsupportedInputError",
+    "PrecisionError",
+    "QuadratureError",
+]
+
 
 class InvalidInputError(ValueError):
     """A precondition on user-supplied input was violated."""

@@ -6,8 +6,7 @@ this module provides evaluation (double precision with compensated summation,
 or arbitrary precision via mpmath), termwise differentiation, the uniform
 derivative bound sum_j |a_j|*|lambda_j|^m, vanishing-order detection at a
 point, sup-norms over an interval by a grid scan refined with Newton steps,
-adaptive L1 norms, and membership tests for the coefficient/exponent growth
-class |a_0| = 1, |a_j| <= M*j^mu, Re(lambda_j) >= j*delta.
+and adaptive L1 norms.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ from .quadrature import adaptive_gauss_legendre
 __all__ = [
     "ExpSum",
     "Interval",
-    "ClassParams",
-    "Membership",
     "SupNormResult",
     "evaluate",
     "derivative",
@@ -39,15 +36,11 @@ __all__ = [
     "vanishing_order",
     "sup_norm",
     "l1_norm",
-    "class_membership",
     "to_json",
     "from_json",
     "write_scan_csv",
 ]
 
-# Tolerance absorbing serialization roundoff in exact-value checks (|a_0| = 1,
-# Re(lambda_0) = 0, gap comparisons).
-EXACT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class ExpSum:
@@ -131,23 +124,6 @@ class Interval:
         return self.a
 
 
-@dataclass(frozen=True)
-class ClassParams:
-    """Growth-class parameters: |a_j| <= M*j^mu and Re(lambda_j) >= j*delta."""
-
-    M: float
-    mu: int
-    delta: float
-
-    def __post_init__(self):
-        if self.M < 1:
-            raise InvalidInputError(f"M must be >= 1, got {self.M}")
-        if self.mu < 0 or int(self.mu) != self.mu:
-            raise InvalidInputError(f"mu must be a nonnegative integer, got {self.mu}")
-        if self.delta <= 0:
-            raise InvalidInputError(f"delta must be positive, got {self.delta}")
-
-
 def evaluate(g: ExpSum, t: float, dps: Optional[int] = None):
     """Evaluate g(t).
 
@@ -194,8 +170,6 @@ def derivative_sup_bound(g: ExpSum, m: int) -> float:
     if m < 0:
         raise InvalidInputError(f"derivative order must be nonnegative, got {m}")
     lam = _real_exponents(g)
-    if m == 0:
-        return math.fsum(abs(a) for a in g.coefficients)
     return math.fsum(abs(a) * abs(x) ** m for a, x in zip(g.coefficients, lam))
 
 
@@ -345,6 +319,14 @@ def _slope(derivatives) -> tuple[float, float]:
     return (g0.conjugate() * g1).real, abs(g1) ** 2 + (g0.conjugate() * g2).real
 
 
+def _count(value, name: str) -> int:
+    """``value`` as an int; a float or other non-integer raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+
+
 def default_grid_points(g: ExpSum, interval: Interval) -> int:
     """Grid density matched to the oscillation rate max|Re lambda| * length."""
     rate = max(abs(x.real) for x in g.exponents) * interval.length
@@ -363,12 +345,7 @@ def sup_norm(g: ExpSum, interval: Interval, grid_points: Optional[int] = None) -
     """
     if grid_points is None:
         grid_points = default_grid_points(g, interval)
-    try:
-        grid_points = operator.index(grid_points)
-    except TypeError:
-        raise InvalidInputError(
-            f"grid_points must be an integer, got {grid_points!r}"
-        ) from None
+    grid_points = _count(grid_points, "grid_points")
     if grid_points < 16:
         raise InvalidInputError(f"grid_points must be >= 16, got {grid_points}")
     ts = np.linspace(interval.left, interval.right, grid_points)
@@ -425,39 +402,6 @@ def l1_norm(g: ExpSum, interval: Interval, abs_tol: float = 1e-10) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class Membership:
-    """Outcome of a growth-class membership test.
-
-    ``index`` and ``condition`` identify the first violated constraint when
-    ``ok`` is False.
-    """
-
-    ok: bool
-    index: Optional[int] = None
-    condition: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def class_membership(g: ExpSum, p: ClassParams) -> Membership:
-    """Check |a_0| = 1, Re(lambda_0) = 0, |a_j| <= M*j^mu, Re(lambda_j) >= j*delta."""
-    if abs(abs(g.coefficients[0]) - 1.0) > EXACT_TOL:
-        return Membership(False, 0, f"|a_0| = {abs(g.coefficients[0])!r} != 1")
-    if abs(g.exponents[0].real) > EXACT_TOL:
-        return Membership(False, 0, f"Re(lambda_0) = {g.exponents[0].real!r} != 0")
-    for j in range(1, len(g)):
-        cap = p.M * float(j) ** p.mu
-        if abs(g.coefficients[j]) > cap + EXACT_TOL:
-            return Membership(False, j, f"|a_{j}| = {abs(g.coefficients[j])!r} > {cap!r}")
-        if g.exponents[j].real < j * p.delta - EXACT_TOL:
-            return Membership(
-                False, j, f"Re(lambda_{j}) = {g.exponents[j].real!r} < {j * p.delta!r}"
-            )
-    return Membership(True)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -502,6 +446,7 @@ def from_json(text: str) -> ExpSum:
 
 def write_scan_csv(g: ExpSum, interval: Interval, points: int, fh: IO[str]) -> None:
     """Write ``t,re,im,abs`` rows for g sampled on a uniform grid."""
+    points = _count(points, "points")
     if points < 2:
         raise InvalidInputError(f"need at least 2 points, got {points}")
     ts = np.linspace(interval.left, interval.right, points)

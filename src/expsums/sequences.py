@@ -33,13 +33,11 @@ import mpmath
 from mpmath import mp
 
 from .errors import InvalidInputError
-from .expsum import EXACT_TOL, ExpSum
+from .expsum import ExpSum
 
 __all__ = [
     "PulseSequence",
-    "UhrigFractions",
     "GapReport",
-    "uhrig_fractions",
     "alternating_power_sum",
     "uhrig_sum",
     "scaled_sum",
@@ -49,6 +47,10 @@ __all__ = [
     "uhrig_pulse_times",
     "gap_check",
 ]
+
+# Tolerance absorbing serialization roundoff in exact-value checks (gap and
+# growth comparisons here, |a_0| = 1 and Re(lambda_0) = 0 in the L1 probe).
+EXACT_TOL = 1e-12
 
 
 def _require_even_positive(n: int) -> None:
@@ -113,25 +115,6 @@ class PulseSequence:
         return min(b - a for a, b in zip(self.times, self.times[1:]))
 
 
-@dataclass(frozen=True)
-class UhrigFractions:
-    """The fractions d_k = sin^2(k*pi/(2n+2)), strictly increasing in (0, 1)."""
-
-    n: int
-    d: tuple[float, ...]
-
-    def __post_init__(self):
-        _require_even_positive(self.n)
-        if len(self.d) != self.n:
-            raise InvalidInputError(f"expected {self.n} fractions, got {len(self.d)}")
-
-
-def uhrig_fractions(n: int) -> UhrigFractions:
-    """d_1..d_n for even n >= 2."""
-    _require_even_positive(n)
-    return UhrigFractions(n=n, d=tuple(_sin2(n)))
-
-
 def alternating_power_sum(n: int, m: int, dps: int = 50) -> mpmath.mpf:
     """sum_{k=1..n} (-1)^k d_k^m evaluated at ``dps`` significant digits.
 
@@ -186,14 +169,16 @@ def scaled_sum(b: float) -> ExpSum:
 
 def rescaled_timings(n: int) -> tuple[float, ...]:
     """d_k/d_1 for k = 1..n: starts at exactly 1, consecutive gaps >= 1."""
-    d = uhrig_fractions(n).d
+    _require_even_positive(n)
+    d = _sin2(n)
     return tuple(x / d[0] for x in d)
 
 
 def unit_gap_sum(n: int) -> ExpSum:
     """Same coefficients as :func:`uhrig_sum`, exponents (0, d_1/d_1, ...,
     d_n/d_1, 1/d_1); the first-fraction normalization makes every gap >= 1."""
-    d = uhrig_fractions(n).d
+    _require_even_positive(n)
+    d = _sin2(n)
     exps = (0.0, *(x / d[0] for x in d), 1.0 / d[0])
     return ExpSum(coefficients=_coefficients(n), exponents=exps)
 

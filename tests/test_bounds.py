@@ -14,7 +14,6 @@ from expsums import (
     scaling_fit,
     stirling_envelope,
     sup_norm,
-    taylor_envelope,
     taylor_envelope_b,
     uhrig_sum,
     unit_gap_order_for_radius,
@@ -24,40 +23,10 @@ from expsums.bounds import STIRLING_DOMAIN_MAX
 E = math.e
 
 
-def test_taylor_envelope_zero_at_origin():
-    assert taylor_envelope(4, 0.0) == 0.0
-
-
-def test_taylor_envelope_matches_direct_formula():
-    for n, t in [(2, 0.3), (8, 0.05), (16, 1.2)]:
-        direct = (2 * n + 1) * (E * abs(t) / (n + 1)) ** (n + 1)
-        assert taylor_envelope(n, t) == pytest.approx(direct, rel=1e-13)
-
-
-def test_taylor_envelope_monotone_in_t():
-    ts = np.linspace(0.01, 2.0, 100)
-    vals = [taylor_envelope(6, t) for t in ts]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
-
-
-def test_taylor_envelope_decreasing_in_n_below_one():
-    for t in (0.3, 0.9):
-        vals = [taylor_envelope(n, t) for n in range(2, 42, 2)]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
-
-
-def test_taylor_envelope_extreme_arguments_saturate():
-    # log-space evaluation: no OverflowError, graceful under/overflow
-    assert taylor_envelope(200, 0.5) == 0.0
-    assert taylor_envelope(200, 80.0) == pytest.approx(3.1e9, rel=0.2)
-    assert taylor_envelope(2000, 1e6) == math.inf
-
-
-def test_taylor_envelope_validation():
-    with pytest.raises(InvalidInputError):
-        taylor_envelope(3, 0.1)
-    with pytest.raises(InvalidInputError):
-        taylor_envelope(0, 0.1)
+def taylor_bound(n, t):
+    """(2n+1)*(e|t|/(n+1))^(n+1), the Taylor bound for a sum vanishing to
+    order n+1 with derivative bound 2n+1."""
+    return (2 * n + 1) * (E * abs(t) / (n + 1)) ** (n + 1)
 
 
 def test_taylor_envelope_b_boundary():
@@ -68,7 +37,7 @@ def test_taylor_envelope_b_consistency():
     # at b = 3/(n+1) the b-form dominates the t-form at radius 1/b
     for n in [2, 8]:
         b = 3.0 / (n + 1)
-        assert taylor_envelope(n, 1.0 / b) <= taylor_envelope_b(b) + 1e-12
+        assert taylor_bound(n, 1.0 / b) <= taylor_envelope_b(b) + 1e-12
 
 
 def test_taylor_envelope_b_validation():
@@ -79,7 +48,7 @@ def test_taylor_envelope_b_validation():
 
 def test_envelope_bounds_measured_sup():
     value = sup_norm(uhrig_sum(4), Interval(y=-0.1, a=0.2)).value
-    assert value <= taylor_envelope(4, 0.1)
+    assert value <= taylor_bound(4, 0.1)
 
 
 def test_stirling_envelope_frozen_value():
@@ -178,13 +147,6 @@ def test_scaling_fit_rejects_non_finite_points():
             scaling_fit(good + [bad])
 
 
-def test_taylor_envelope_rejects_nan_but_saturates_at_inf():
-    with pytest.raises(InvalidInputError):
-        taylor_envelope(4, math.nan)
-    assert taylor_envelope(4, math.inf) == math.inf
-    assert taylor_envelope(4, -math.inf) == math.inf
-
-
 def test_lower_bound_probe_constant():
     g = ExpSum(coefficients=(1.0,), exponents=(0.0,))
     result = lower_bound_probe(g, Interval(y=0.0, a=1.0), delta=1.0)
@@ -207,6 +169,10 @@ def test_lower_bound_probe_domain():
 
 
 def test_lower_bound_probe_class_violation():
-    g = ExpSum(coefficients=(1.0, -1.0), exponents=(0.0, 0.5))
-    with pytest.raises(InvalidInputError):
-        lower_bound_probe(g, Interval(y=0.0, a=1.0), delta=1.0)
+    for g in [
+        ExpSum(coefficients=(1.0, -1.0), exponents=(0.0, 0.5)),  # Re(lambda_1) < delta
+        ExpSum(coefficients=(2.0, 1.0), exponents=(0.0, 1.0)),  # |a_0| != 1
+        ExpSum(coefficients=(1.0, -1.0), exponents=(0.5, 2.0)),  # Re(lambda_0) != 0
+    ]:
+        with pytest.raises(InvalidInputError):
+            lower_bound_probe(g, Interval(y=0.0, a=1.0), delta=1.0)

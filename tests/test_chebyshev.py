@@ -41,29 +41,29 @@ def test_cheb_u_invalid():
 
 
 def test_nodes_n2_exact_values():
-    nodes = cheb_nodes(2).nodes
+    nodes = cheb_nodes(2)
     expected = (math.sqrt(3) / 2, 0.5, 0.0, -0.5, -math.sqrt(3) / 2)
     assert nodes == pytest.approx(expected, abs=1e-15)
 
 
 def test_nodes_antisymmetry_is_bitwise():
     for n in [0, 2, 4, 10, 40]:
-        ns = cheb_nodes(n)
-        assert ns.nodes[n] == 0.0
+        nodes = cheb_nodes(n)
+        assert len(nodes) == 2 * n + 1
+        assert nodes[n] == 0.0
         for k in range(1, n + 1):
-            assert ns.node(2 * n + 2 - k) == -ns.node(k)
+            assert nodes[2 * n + 1 - k] == -nodes[k - 1]
 
 
 def test_nodes_strictly_decreasing():
     for n in [2, 8, 26]:
-        nodes = cheb_nodes(n).nodes
+        nodes = cheb_nodes(n)
         assert all(a > b for a, b in zip(nodes, nodes[1:]))
 
 
 def test_nodes_are_zeros_of_u():
     for n in [2, 8, 40]:
-        ns = cheb_nodes(n)
-        for x in ns.nodes:
+        for x in cheb_nodes(n):
             assert abs(cheb_u(2 * n + 1, x)) <= 1e-10 * (2 * n + 2)
 
 
@@ -72,14 +72,6 @@ def test_nodes_reject_odd_n():
         cheb_nodes(3)
     with pytest.raises(InvalidInputError):
         cheb_nodes(-2)
-
-
-def test_node_index_bounds():
-    ns = cheb_nodes(2)
-    with pytest.raises(InvalidInputError):
-        ns.node(0)
-    with pytest.raises(InvalidInputError):
-        ns.node(6)
 
 
 def test_endpoint_identity_constant():

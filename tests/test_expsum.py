@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from expsums import (
-    ClassParams,
     ExpSum,
     Interval,
     InvalidInputError,
     PrecisionError,
     QuadratureError,
     UnsupportedInputError,
-    class_membership,
     derivative,
     derivative_magnitudes,
     derivative_sup_bound,
@@ -526,47 +524,6 @@ def test_l1_rejects_nan_tolerance_and_overflowing_interval():
 
 
 # ---------------------------------------------------------------------------
-# class membership
-
-def test_membership_scaled_sum():
-    assert class_membership(scaled_sum(1.0), ClassParams(M=2.0, mu=0, delta=1.0)).ok
-
-
-def test_membership_growth_violation():
-    g = ExpSum(coefficients=(1.0, -1.0), exponents=(0.0, 0.5))
-    result = class_membership(g, ClassParams(M=1.0, mu=0, delta=1.0))
-    assert not result and result.index == 1
-    assert "lambda" in result.condition
-
-
-def test_membership_unit_leading_coefficient():
-    g = ExpSum(coefficients=(2.0, 1.0), exponents=(0.0, 1.0))
-    result = class_membership(g, ClassParams(M=1.0, mu=0, delta=1.0))
-    assert not result and result.index == 0
-    assert "a_0" in result.condition
-
-
-def test_membership_coefficient_cap():
-    g = ExpSum(coefficients=(1.0, 3.0), exponents=(0.0, 1.0))
-    result = class_membership(g, ClassParams(M=2.0, mu=0, delta=1.0))
-    assert not result and result.index == 1
-
-
-def test_membership_mu_growth():
-    g = ExpSum(coefficients=(1.0, 2.0, 8.0), exponents=(0.0, 1.0, 2.0))
-    assert class_membership(g, ClassParams(M=2.0, mu=2, delta=1.0)).ok
-
-
-def test_class_params_validation():
-    with pytest.raises(InvalidInputError):
-        ClassParams(M=0.5, mu=0, delta=1.0)
-    with pytest.raises(InvalidInputError):
-        ClassParams(M=1.0, mu=-1, delta=1.0)
-    with pytest.raises(InvalidInputError):
-        ClassParams(M=1.0, mu=0, delta=0.0)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 def test_json_schema_and_round_trip():
@@ -602,3 +559,6 @@ def test_scan_csv():
     value = evaluate(TWO_TERM, 1.0)
     assert re == pytest.approx(value.real, abs=1e-16)
     assert mag == pytest.approx(abs(value), abs=1e-16)
+    for points in (2.5, 1):
+        with pytest.raises(InvalidInputError):
+            write_scan_csv(TWO_TERM, Interval(y=0.0, a=1.0), points, io.StringIO())

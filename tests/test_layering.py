@@ -1,11 +1,14 @@
-"""The package's modules import each other without cycles."""
+"""The package's modules import each other without cycles, and the public
+surface is declared once, by each module's ``__all__``."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import expsums
 
 PACKAGE = Path(expsums.__file__).parent
+ACCEPTANCE = Path(__file__).with_name("test_acceptance.py")
 
 
 def module_imports() -> dict[str, set[str]]:
@@ -60,3 +63,38 @@ def test_module_imports_are_acyclic():
 
     for module in sorted(graph):
         visit(module)
+
+
+def star_imported_modules() -> list[str]:
+    """Modules whose names the package namespace takes by ``import *``, in order."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [
+        node.module for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        and [alias.name for alias in node.names] == ["*"]
+    ]
+
+
+def test_public_names_are_the_module_declarations():
+    modules = star_imported_modules()
+    # every module that declares __all__ is public, except the quadrature
+    # engine behind l1_norm
+    declaring = {
+        path.stem for path in PACKAGE.glob("*.py") if path.stem != "__init__"
+        and hasattr(importlib.import_module(f"expsums.{path.stem}"), "__all__")
+    }
+    assert sorted(modules) == sorted(declaring - {"quadrature"})
+    declared = [
+        name for module in modules
+        for name in importlib.import_module(f"expsums.{module}").__all__
+    ]
+    assert expsums.__all__ == declared
+    assert len(set(declared)) == len(declared) < 50
+    assert all(hasattr(expsums, name) for name in declared)
+    tree = ast.parse(ACCEPTANCE.read_text())
+    imported = {
+        alias.name for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "expsums"
+        for alias in node.names
+    }
+    assert imported and imported <= set(declared)

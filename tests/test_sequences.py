@@ -16,27 +16,31 @@ from expsums import (
     scaled_sum,
     scaled_sum_order,
     to_json,
-    uhrig_fractions,
     uhrig_pulse_times,
     uhrig_sum,
     unit_gap_sum,
 )
 
 
+def fractions(n):
+    """d_1..d_n: the interior exponents of the Uhrig sum."""
+    return tuple(x.real for x in uhrig_sum(n).exponents[1:-1])
+
+
 def test_fractions_n2():
-    d = uhrig_fractions(2).d
+    d = fractions(2)
     assert d == pytest.approx((0.25, 0.75), abs=1e-15)
 
 
 def test_fractions_n4_formula():
-    d = uhrig_fractions(4).d
+    d = fractions(4)
     expected = tuple(math.sin(k * math.pi / 10) ** 2 for k in range(1, 5))
     assert d == pytest.approx(expected, abs=1e-16)
 
 
 def test_fractions_increasing_in_unit_interval():
     for n in [2, 10, 40]:
-        d = uhrig_fractions(n).d
+        d = fractions(n)
         assert 0.0 < d[0] and d[-1] < 1.0
         assert all(b > a for a, b in zip(d, d[1:]))
 
@@ -44,23 +48,24 @@ def test_fractions_increasing_in_unit_interval():
 def test_fractions_complementary_symmetry():
     # sin^2 is symmetric about pi/4: d_k + d_{n+1-k} = 1
     for n in [2, 6, 20]:
-        d = uhrig_fractions(n).d
+        d = fractions(n)
         for k in range(n):
             assert d[k] + d[n - 1 - k] == pytest.approx(1.0, abs=1e-14)
 
 
 def test_fractions_match_node_complements():
     for n in [2, 8, 16]:
-        d = uhrig_fractions(n).d
-        alpha = cheb_nodes(n).positive_nodes
+        d = fractions(n)
+        alpha = cheb_nodes(n)[:n]
         for k in range(n):
             assert d[k] == pytest.approx(1.0 - alpha[k] ** 2, abs=1e-14)
 
 
 def test_fractions_validation():
     for n in [0, -2, 3]:
-        with pytest.raises(InvalidInputError):
-            uhrig_fractions(n)
+        for build in (fractions, rescaled_timings, unit_gap_sum):
+            with pytest.raises(InvalidInputError):
+                build(n)
 
 
 def test_alternating_power_sum_small_cases():
@@ -183,13 +188,20 @@ def test_uhrig_pulse_times_endpoint_exact():
 
 
 def test_one_construction_bitwise():
-    # the sum, the pulse times and the fractions share one sin^2 construction
+    # the sums, the pulse times, the rescaled timings and the nodes share one
+    # sin^2 (cos) construction, equal bit for bit to the direct formulas
     for n in range(2, 401, 2):
+        d = tuple(math.sin(k * math.pi / (2 * n + 2)) ** 2 for k in range(1, n + 1))
         g = uhrig_sum(n)
         seq = uhrig_pulse_times(n, 1.0)
-        exponents = tuple(x.real for x in g.exponents[1:-1])
-        assert exponents == seq.times[1:-1] == uhrig_fractions(n).d
+        assert fractions(n) == seq.times[1:-1] == d
         assert filter_expsum(seq) == g
+        rescaled = tuple(x / d[0] for x in d)
+        assert rescaled_timings(n) == rescaled
+        assert unit_gap_sum(n).exponents == (0.0, *rescaled, 1.0 / d[0])
+        assert unit_gap_sum(n).coefficients == g.coefficients
+        half = tuple(math.cos(k * math.pi / (2 * n + 2)) for k in range(1, n + 1))
+        assert cheb_nodes(n) == half + (0.0,) + tuple(-a for a in reversed(half))
 
 
 def test_uhrig_pulse_times_validation():
@@ -251,4 +263,4 @@ def test_json_renders_17_significant_digits():
     g = uhrig_sum(2)
     doc = json.loads(to_json(g))
     # 0.25 has a short repr; d_1 rounds through 17 digits unchanged
-    assert doc["exponents"][1] == float(uhrig_fractions(2).d[0])
+    assert doc["exponents"][1] == fractions(2)[0]
