@@ -19,6 +19,7 @@ from expsums import (
     evaluate,
     from_json,
     l1_norm,
+    lower_bound_probe,
     scaled_sum,
     sup_norm,
     to_json,
@@ -521,6 +522,29 @@ def test_l1_rejects_nan_tolerance_and_overflowing_interval():
     # finite y and a whose right end overflows to inf
     with pytest.raises(InvalidInputError):
         l1_norm(ONE, Interval(y=1e308, a=1e308))
+
+
+# ---------------------------------------------------------------------------
+# class membership (checked where it is enforced: lower_bound_probe)
+
+UNIT = Interval(y=0.0, a=1.0)
+
+
+def test_membership_scaled_sum():
+    result = lower_bound_probe(scaled_sum(1.0), UNIT, delta=1.0)
+    assert result.l1 > 0.0
+
+
+def test_membership_growth_violation():
+    g = ExpSum(coefficients=(1.0, -1.0), exponents=(0.0, 0.5))
+    with pytest.raises(InvalidInputError, match="lambda"):
+        lower_bound_probe(g, UNIT, delta=1.0)
+
+
+def test_membership_unit_leading_coefficient():
+    g = ExpSum(coefficients=(2.0, 1.0), exponents=(0.0, 1.0))
+    with pytest.raises(InvalidInputError, match="a_0"):
+        lower_bound_probe(g, UNIT, delta=1.0)
 
 
 # ---------------------------------------------------------------------------
