@@ -20,14 +20,14 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _count
 
 __all__ = ["cheb_u", "cheb_nodes", "endpoint_identity_residual"]
 
 
 def cheb_u(degree: int, x: float) -> float:
     """Evaluate U_degree(x) via U_0 = 1, U_1 = 2x, U_{m+1} = 2x*U_m - U_{m-1}."""
-    if degree < 0:
+    if _count(degree, "degree") < 0:
         raise InvalidInputError(f"degree must be nonnegative, got {degree}")
     x = float(x)
     if not math.isfinite(x):
@@ -46,7 +46,7 @@ def cheb_nodes(n: int) -> tuple[float, ...]:
     The left half is computed by cosine evaluation; the right half mirrors it
     with a sign flip so the antisymmetry holds bitwise.
     """
-    if n < 0 or n % 2 != 0:
+    if _count(n, "n") < 0 or n % 2 != 0:
         raise InvalidInputError(f"n must be an even nonnegative integer, got {n}")
     half = [math.cos(k * math.pi / (2 * n + 2)) for k in range(1, n + 1)]
     return tuple(half) + (0.0,) + tuple(-a for a in reversed(half))

@@ -23,14 +23,19 @@ Cywinski, Lutchyn, Nave and Das Sarma, PRB 77, 174509, 2008): with
     chi = sum_jk c_j c_k K(t_j - t_k),   K(D) = integral Lambda(omega)*cos(D*omega),
 
 and K is elementary for every density kind here.  :func:`decay_factor` sums it
-in double precision next to an a-priori rounding bound, and redoes the sum in
-mpmath when the bound exceeds the tolerance.
+in double precision next to an a-priori rounding bound.  When the bound
+exceeds the tolerance it redoes the sum exactly in integers on the stored
+times: the lags are integers on a common dyadic scale, the ohmic kernel is
+rational, and the flat and tabulated kernels need cos and sin of t_j*w only
+for each stored time t_j and breakpoint w, which mpmath computes once to a
+fixed-point precision chosen from an explicit error bound.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -39,7 +44,7 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
-from .errors import InvalidInputError, PrecisionError
+from .errors import InvalidInputError, PrecisionError, _count
 from .expsum import ExpSum, _f17, vanishing_order
 from .sequences import PulseSequence, _coefficients, _sin2
 
@@ -104,7 +109,7 @@ def uhrig_filter_magnitude(n: int, total_time: float, omega: float, dps: int = 5
     size).  Recomputing the timings at working precision keeps the tiny true
     value, so log-log slope measurements stay clean.
     """
-    if n < 1:
+    if _count(n, "n") < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     if not 0 < total_time < math.inf:
         raise InvalidInputError(f"total time must be finite and positive, got {total_time}")
@@ -180,32 +185,26 @@ class SpectralDensity:
 # bit on 250,000 arguments up to 1e5 (x86-64, numpy 2.4)
 _U = 2.0 ** -53
 _SIN_ERR = 2 * _U
-_DOUBLE = (float, np.sin, math.fsum)
-_MP = (mpmath.mpf, np.frompyfunc(mpmath.sin, 1, 1), mpmath.fsum)
 
 
-def _kernel(density: SpectralDensity, lags: np.ndarray, arithmetic=_DOUBLE):
+def _kernel(density: SpectralDensity, lags: np.ndarray):
     """Cosine kernel K(D) = integral over omega >= 0 of Lambda(omega)*cos(D*omega)
-    per unit amplitude, at D = 0 and at the positive ``lags``.
+    per unit amplitude, at D = 0 and at the positive ``lags``, in double
+    precision.
 
-    ``arithmetic`` is ``_DOUBLE`` for float lags or ``_MP`` for object arrays
-    of mpf lags; arrays lead every mixed expression, since ``mpf + array`` is
-    slow to fall back to the array's own operator.
-
-    Returns ``(K(0), K(lags), bounds)``.  For a double-precision evaluation
-    ``bounds()`` gives a-priori bounds, to first order in the unit roundoff u
-    and barring underflow, on the rounding errors of K(0) and of each K(lag),
-    counting the rounding of the lags themselves.
+    Returns ``(K(0), K(lags), bounds)``.  ``bounds()`` gives a-priori bounds,
+    to first order in the unit roundoff u and barring underflow, on the
+    rounding errors of K(0) and of each K(lag), counting the rounding of the
+    lags themselves.
     """
-    num, sin, fsum = arithmetic
     if density.kind == FLAT:
-        wc = num(density.cutoff)
-        values = sin(lags * wc) / lags
+        wc = float(density.cutoff)
+        values = np.sin(lags * wc) / lags
         # the lag and the product move the argument by 2u*|D*wc|; the sine,
         # the lag and the division add (_SIN_ERR + 2u)*|K|
         return wc, values, lambda: (0.0, 2 * _U * wc + (_SIN_ERR + 2 * _U) * np.abs(values))
     if density.kind == OHMIC:
-        wc = num(density.cutoff)
+        wc = float(density.cutoff)
         s = 1 / (wc * wc)
         square = lags * lags
         base = square + s
@@ -216,14 +215,14 @@ def _kernel(density: SpectralDensity, lags: np.ndarray, arithmetic=_DOUBLE):
     # Integrating by parts leaves the edge values and, per breakpoint w_k, the
     # slope change times the integral of sin(D*omega)/D from w_k on, which is
     # 2*sin^2(D*w_k/2)/D^2 up to a constant that cancels over the table.
-    ws = [num(w) for w, _ in density.table]
-    vs = [num(v) for _, v in density.table]
+    ws = [w for w, _ in density.table]
+    vs = [v for _, v in density.table]
     segments = list(zip(ws, ws[1:], vs, vs[1:]))
     slopes = [0, *((v1 - v0) / (w1 - w0) for w0, w1, v0, v1 in segments), 0]
     jumps = np.array([b - a for a, b in zip(slopes, slopes[1:])])
-    k0 = fsum(0.5 * (v0 + v1) * (w1 - w0) for w0, w1, v0, v1 in segments)
-    halves = sin(np.multiply.outer(lags, np.array([w / 2 for w in ws])))
-    edges = sin(np.multiply.outer(lags, np.array([ws[0], ws[-1]])))
+    k0 = math.fsum(0.5 * (v0 + v1) * (w1 - w0) for w0, w1, v0, v1 in segments)
+    halves = np.sin(np.multiply.outer(lags, np.array([w / 2 for w in ws])))
+    edges = np.sin(np.multiply.outer(lags, np.array([ws[0], ws[-1]])))
     squares = halves * halves
     values = (edges[:, 1] * vs[-1] - edges[:, 0] * vs[0]) / lags \
         + 2 * squares.dot(jumps) / (lags * lags)
@@ -251,8 +250,10 @@ def decay_factor(seq: PulseSequence, density: SpectralDensity, abs_tol: float = 
     amplitude * sum_jk c_j c_k K(t_j - t_k) of :func:`_kernel` values, taken as
     the diagonal plus twice the upper triangle with exactly rounded summation.
     Next to it goes an a-priori bound B on its rounding error.  If B exceeds
-    ``abs_tol`` the same sum is recomputed with mpmath at
-    20 + ceil(log10(B/abs_tol)) digits, taking the stored times as exact.
+    ``abs_tol`` the same sum is recomputed in exact integer arithmetic on the
+    stored times, from a cos/sin table of (n+2) entries per breakpoint at a
+    fixed-point precision whose error bound (see :func:`_exact_kernel_sum`)
+    is at most abs_tol/2.
 
     The result is within ``abs_tol`` of chi for the stored times, apart from
     its own rounding to a double.  A negative result is clamped to 0 (the true
@@ -278,15 +279,116 @@ def decay_factor(seq: PulseSequence, density: SpectralDensity, abs_tol: float = 
     if not math.isfinite(bound):
         raise PrecisionError(f"chi overflows double precision (bound {bound})")
     if bound > abs_tol:
-        with mp.workdps(20 + math.ceil(math.log10(bound / abs_tol))):
-            exact = np.array([mpmath.mpf(t) for t in seq.times], dtype=object)
-            terms = []
-            # one row of the triangle at a time keeps the mpf temporaries few
-            for i in range(len(coeffs) - 1):
-                k0, values, _ = _kernel(density, exact[i + 1:] - exact[i], _MP)
-                terms += list(2 * coeffs[i] * coeffs[i + 1:] * values)
-            value = float(density.amplitude * mpmath.fsum([diag * k0, *terms]))
+        value = _exact_kernel_sum(seq, density, abs_tol)
     return max(value, 0.0)
+
+
+def _on_one_scale(xs) -> tuple[list[int], int]:
+    """Integers m_i and one e >= 0 with x_i = m_i / 2**e exactly (every
+    double is a dyadic rational)."""
+    ratios = [float(x).as_integer_ratio() for x in xs]
+    e = max(d for _, d in ratios).bit_length() - 1
+    return [(m << e) // d for m, d in ratios], e
+
+
+def _bits(x: float, tol: float) -> int:
+    """A b >= 0 with x / 2**b <= tol/4 even if x >= 0 was computed low by a
+    factor of up to 2, read off the binary exponents of x and tol."""
+    if not math.isfinite(x):
+        raise PrecisionError(f"the precision chi needs overflows a double ({x})")
+    return max(0, math.frexp(x)[1] - math.frexp(tol)[1] + 4)
+
+
+def _exact_kernel_sum(seq: PulseSequence, density: SpectralDensity, abs_tol: float) -> float:
+    """amplitude * sum_jk c_j c_k K(t_j - t_k) on the stored times, to abs_tol/2.
+
+    Every stored time, cutoff and table entry is a dyadic rational, so on the
+    scale 2**q of the finest time each lag D = L / 2**q has an integer L.  The
+    ohmic kernel (s - D^2)/(s + D^2)^2 is then a ratio of integers.  Flat
+    densities are the table ((0, 1), (cutoff, 1)), and for a table with
+    breakpoints w_k, values v_k and slope changes jump_k,
+
+        K(D) = (v_last*sin(D*w_last) - v_0*sin(D*w_0))/D - sum_k jump_k*cos(D*w_k)/D^2
+
+    (the jumps sum to 0, so this is the sin^2 form of :func:`_kernel`).  Its
+    sines and cosines come by angle addition from cos and sin of t_j*w_k,
+    computed once per time and breakpoint by mpmath and truncated to P-bit
+    fixed point: each entry is within 2^(1-P), so each sin(D*w_k) or
+    cos(D*w_k) within 6*2^-P.  Each pair's weighted term is one floor
+    division at the scale 2**-Q, the terms add exactly as integers, and the
+    total times the amplitude is rounded to a double once.  Hence the error,
+    before that rounding, is at most
+
+        amplitude * (6*2^-P * sum_{j<k} |w_jk|*(G/D_jk + H/D_jk^2) + (pairs + 1)*2^-Q)
+
+    with w_jk = 2*c_j*c_k, G = |v_0| + |v_last| (without v_0 when w_0 = 0,
+    where its sine vanishes) and H = sum_k |jump_k|; ohmic densities have no
+    first term.  P and Q are chosen to make each part at most abs_tol/4.
+    """
+    amplitude = density.amplitude
+    coeffs = [int(c) for c in _coefficients(seq.n_pulses)]
+    diag = sum(c * c for c in coeffs)
+    times, q = _on_one_scale(seq.times)
+    pairs = [(j, k, 2 * coeffs[j] * coeffs[k]) for k in range(len(times)) for j in range(k)]
+    Q = _bits(amplitude * (len(pairs) + 1), abs_tol)
+    if density.kind == OHMIC:
+        # with cutoff W/2^e, K(D) = W^2*4^q*(R - L^2*W^2)/(R + L^2*W^2)^2, R = 4^(e+q)
+        (W,), e = _on_one_scale([density.cutoff])
+        W2, R = W * W, 1 << 2 * (e + q)
+        total = (diag * W2 << Q) >> 2 * e
+        for j, k, w in pairs:
+            scaled = (times[k] - times[j]) ** 2 * W2
+            total += (w * W2 * (R - scaled) << 2 * q + Q) // (R + scaled) ** 2
+    else:
+        table = density.table if density.kind == TABULATED else ((0.0, 1.0), (density.cutoff, 1.0))
+        ws, a = _on_one_scale(w for w, _ in table)
+        vs, b = _on_one_scale(v for _, v in table)
+        steps = [w1 - w0 for w0, w1 in zip(ws, ws[1:])]
+        # K(0) = k0 / 2^(a+b+1); the slopes and the (w, c) terms below carry
+        # a factor M = lcm(steps)*2^b, which makes them integers
+        k0 = sum((v0 + v1) * h for v0, v1, h in zip(vs, vs[1:], steps))
+        lcm = math.lcm(*steps)
+        M = lcm << b
+        slopes = [0, *((v1 - v0) * (lcm // h) << a for v0, v1, h in zip(vs, vs[1:], steps)), 0]
+        # M*K(D) = sum c*sin(D*w)/D + sum c*cos(D*w)/D^2 over these terms,
+        # with w on the scale 2^-a; the sine vanishes at omega = 0
+        sines = [(w, c) for w, c in ((ws[-1], vs[-1] * lcm), (ws[0], -vs[0] * lcm)) if w and c]
+        cosines = [(w, s0 - s1) for w, s0, s1 in zip(ws, slopes, slopes[1:]) if s0 != s1]
+        G = sum(abs(c) for _, c in sines) / M
+        H = sum(abs(c) for _, c in cosines) / M
+        lags = np.array([seq.times[k] - seq.times[j] for j, k, _ in pairs])
+        weights = np.abs([w for *_, w in pairs])
+        # never coarser than a double
+        P = max(53, _bits(6 * amplitude * float(weights @ (G / lags + H / (lags * lags))), abs_tol))
+        Q = max(Q, 2 * P - q)  # keeps the shift of the pair terms nonnegative
+        # cos and sin of t_j*w to P + 10 bits, where mpmath's last-place error
+        # is negligible next to the truncation to P bits
+        trig = {}
+        with mp.workdps(math.ceil((P + 10) * math.log10(2))):
+            for w in {w for w, _ in sines + cosines}:
+                trig[w] = [
+                    tuple(int(mpmath.ldexp(x, P)) for x in mpmath.cos_sin(mpmath.ldexp(t * w, -q - a)))
+                    if t * w else (1 << P, 0) for t in times
+                ]
+        sin_terms = [(trig[w], c) for w, c in sines]
+        cos_terms = [(trig[w], c) for w, c in cosines]
+        # per time t_j, the (cos, sin) of t_j*w over the terms, and weighted
+        # vectors whose dot products with those of t_k are M*2^(2P) times
+        # sum c*sin(D*w) and sum c*cos(D*w), by angle addition
+        index = range(len(times))
+        plain_s = [[x for cs, _ in sin_terms for x in cs[j]] for j in index]
+        plain_c = [[x for cs, _ in cos_terms for x in cs[j]] for j in index]
+        weighted_s = [[x for cs, c in sin_terms for x in (-c * cs[j][1], c * cs[j][0])] for j in index]
+        weighted_c = [[x for cs, c in cos_terms for x in (c * cs[j][0], c * cs[j][1])] for j in index]
+        total = (diag * k0 << Q) >> a + b + 1
+        shift = q + Q - 2 * P
+        for j, k, w in pairs:
+            L = times[k] - times[j]
+            num = sum(map(operator.mul, weighted_s[j], plain_s[k])) * L \
+                + (sum(map(operator.mul, weighted_c[j], plain_c[k])) << q)
+            total += (w * num << shift) // (M * L * L)
+    numerator, denominator = float(amplitude).as_integer_ratio()
+    return total * numerator / (denominator << Q)
 
 
 # ---------------------------------------------------------------------------

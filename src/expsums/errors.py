@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the integer-argument
+guard every layer uses."""
+
+import operator
 
 __all__ = [
     "InvalidInputError",
@@ -31,3 +34,11 @@ class QuadratureError(ArithmeticError):
         super().__init__(message)
         self.partial = partial
         self.achieved_tol = achieved_tol
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int; a float or other non-integer raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None

@@ -14,7 +14,6 @@ from __future__ import annotations
 import cmath
 import json
 import math
-import operator
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple, Optional
 
@@ -22,7 +21,7 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
-from .errors import InvalidInputError, PrecisionError, UnsupportedInputError
+from .errors import InvalidInputError, PrecisionError, UnsupportedInputError, _count
 from .quadrature import adaptive_gauss_legendre
 
 __all__ = [
@@ -317,14 +316,6 @@ def _slope(derivatives) -> tuple[float, float]:
     """phi = Re(conj(g)*g') and its derivative from (g, g', g'')."""
     g0, g1, g2 = derivatives
     return (g0.conjugate() * g1).real, abs(g1) ** 2 + (g0.conjugate() * g2).real
-
-
-def _count(value, name: str) -> int:
-    """``value`` as an int; a float or other non-integer raises."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
 
 
 def default_grid_points(g: ExpSum, interval: Interval) -> int:

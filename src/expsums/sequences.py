@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 import mpmath
 from mpmath import mp
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _count
 from .expsum import ExpSum
 
 __all__ = [
@@ -54,7 +54,7 @@ EXACT_TOL = 1e-12
 
 
 def _require_even_positive(n: int) -> None:
-    if n < 2 or n % 2 != 0:
+    if _count(n, "n") < 2 or n % 2 != 0:
         raise InvalidInputError(f"n must be an even integer >= 2, got {n}")
 
 
@@ -123,7 +123,7 @@ def alternating_power_sum(n: int, m: int, dps: int = 50) -> mpmath.mpf:
     coefficients are 2*(-1)^k, so the sum is half their weighted sum.
     """
     _require_even_positive(n)
-    if m < 0:
+    if _count(m, "power") < 0:
         raise InvalidInputError(f"power must be nonnegative, got {m}")
     d = _sin2(n, dps)
     with mp.workdps(dps):
@@ -190,7 +190,7 @@ def uhrig_pulse_times(n: int, total_time: float) -> PulseSequence:
     accepted; evenness matters only for the algebraic identities, not for the
     physical sequence.
     """
-    if n < 1:
+    if _count(n, "n") < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     if not total_time > 0:
         raise InvalidInputError(f"total time must be positive, got {total_time}")

@@ -22,6 +22,7 @@ from expsums import (
     uhrig_pulse_times,
     vanishing_order_filter,
 )
+from expsums import dephasing
 from expsums.quadrature import adaptive_gauss_legendre
 
 ECHO = PulseSequence(times=(0.0, 0.5, 1.0))
@@ -422,29 +423,57 @@ def kernel_sum_mp(seq, density, dps=60):
         return float(density.amplitude * value)
 
 
+def scaled_table(name, total_time):
+    """TABLES[name] stretched to a sequence of length ``total_time``: chi then
+    scales by 1/total_time, the pulse times keep their shape."""
+    return tuple((w / total_time, v) for w, v in TABLES[name])
+
+
+def with_close_pair(n, gap):
+    """The sin^2 sequence of n pulses plus one more pulse ``gap`` after its
+    middle pulse."""
+    pulses = list(uhrig_pulse_times(n, 1.0).times[1:-1])
+    return PulseSequence.from_pulses(sorted(pulses + [pulses[n // 2] + gap]), 1.0)
+
+
 # chi cases that quadrature missed (n=8, cutoff 10.0879), took a second or
-# more (n=4, cutoff 50) or ground to its subdivision cap (n=32), and tables
-# whose 32-pulse sums take the mpmath rung
+# more (n=4, cutoff 50) or ground to its subdivision cap (n=32), and sums
+# whose double-precision bound exceeds abs_tol, so they take the integer rung:
+# 32-pulse tables, ohmic 32 at cutoff 20 (bound 2e-10), an amplitude that is
+# not a power of two, total times whose pulse times sit on dyadic scales far
+# from 1, and two pulses 1e-9 apart, where the 1/D^2 of tabulated kernels
+# drives up the precision of the cos/sin table
 @pytest.mark.parametrize(
-    "n,density,abs_tol",
+    "seq,density,abs_tol",
     [
-        (8, SpectralDensity(kind="ohmic-exponential", cutoff=10.0879), 1e-10),
-        (4, SpectralDensity(kind="ohmic-exponential", cutoff=50.0), 1e-10),
-        (32, SpectralDensity(kind="ohmic-exponential", cutoff=50.0), 1e-10),
-        (32, SpectralDensity(kind="hard-cutoff-flat", cutoff=1000.0), 1e-10),
-        (32, SpectralDensity(kind="hard-cutoff-flat", cutoff=300.0), 1e-13),
-        (32, SpectralDensity(kind="tabulated", table=TABLES["decaying"]), 1e-10),
-        (32, SpectralDensity(kind="tabulated", table=TABLES["ohmic-like"]), 1e-10),
+        (uhrig_pulse_times(8, 1.0), SpectralDensity(kind="ohmic-exponential", cutoff=10.0879), 1e-10),
+        (uhrig_pulse_times(4, 1.0), SpectralDensity(kind="ohmic-exponential", cutoff=50.0), 1e-10),
+        (uhrig_pulse_times(32, 1.0), SpectralDensity(kind="ohmic-exponential", cutoff=50.0), 1e-10),
+        (uhrig_pulse_times(32, 1.0), SpectralDensity(kind="hard-cutoff-flat", cutoff=1000.0), 1e-10),
+        (uhrig_pulse_times(32, 1.0), SpectralDensity(kind="hard-cutoff-flat", cutoff=300.0), 1e-13),
+        (uhrig_pulse_times(32, 1.0), SpectralDensity(kind="tabulated", table=TABLES["decaying"]), 1e-10),
+        (uhrig_pulse_times(32, 1.0), SpectralDensity(kind="tabulated", table=TABLES["ohmic-like"]), 1e-10),
+        (uhrig_pulse_times(32, 1.0), SpectralDensity(kind="ohmic-exponential", cutoff=20.0), 1e-10),
+        (uhrig_pulse_times(32, 1.0), SpectralDensity(kind="tabulated", table=TABLES["left-step"]), 1e-13),
+        (uhrig_pulse_times(32, 1.0),
+         SpectralDensity(kind="tabulated", amplitude=0.7, table=TABLES["ohmic-like"]), 1e-10),
+        (uhrig_pulse_times(32, 1e-3),
+         SpectralDensity(kind="tabulated", table=scaled_table("ohmic-like", 1e-3)), 1e-10),
+        (uhrig_pulse_times(32, 1e3),
+         SpectralDensity(kind="tabulated", table=scaled_table("ohmic-like", 1e3)), 1e-13),
+        (with_close_pair(8, 1e-9), SpectralDensity(kind="tabulated", table=TABLES["decaying"]), 1e-13),
     ],
     ids=["ohmic-8-10.0879", "ohmic-4-50", "ohmic-32-50", "flat-32-1000", "flat-32-300-tight",
-         "decaying-table-32", "ohmic-like-table-32"],
+         "decaying-table-32", "ohmic-like-table-32", "ohmic-32-20", "left-step-table-32-tight",
+         "ohmic-like-table-32-amplitude-0.7", "ohmic-like-table-32-T-1e-3",
+         "ohmic-like-table-32-T-1e3-tight", "decaying-table-close-pair-tight"],
 )
-def test_decay_matches_kernel_sum(n, density, abs_tol):
-    seq = uhrig_pulse_times(n, 1.0)
+def test_decay_matches_kernel_sum(seq, density, abs_tol):
     start = time.perf_counter()
     value = decay_factor(seq, density, abs_tol=abs_tol)
     assert time.perf_counter() - start < 0.5
-    assert abs(value - kernel_sum_mp(seq, density)) <= 1e-10
+    exact = kernel_sum_mp(seq, density)
+    assert abs(value - exact) <= min(1e-10, abs_tol + math.ulp(exact))
 
 
 def test_decay_escalates_to_mpmath(monkeypatch):
@@ -462,6 +491,31 @@ def test_decay_escalates_to_mpmath(monkeypatch):
     assert abs(value - exact) <= 1e-13 + math.ulp(exact)
 
 
+@pytest.mark.parametrize(
+    "density,abs_tol,limit",
+    [
+        (SpectralDensity(kind="tabulated", table=TABLES["ohmic-like"]), 1e-10, 34 * 7),
+        (SpectralDensity(kind="hard-cutoff-flat", cutoff=300.0), 1e-13, 34),
+        (SpectralDensity(kind="ohmic-exponential", cutoff=20.0), 1e-10, 0),
+    ],
+    ids=["tabulated-7-breakpoints", "flat", "ohmic"],
+)
+def test_decay_rung_trig_calls(monkeypatch, density, abs_tol, limit):
+    # the rung takes cos and sin of t_j*w once per stored time and breakpoint
+    # (n + 2 times, 7 breakpoints here, the cutoff for flat densities), and
+    # none at all for the rational ohmic kernel
+    seq = uhrig_pulse_times(32, 1.0)
+    calls = []
+    for name in ("sin", "cos", "cos_sin"):
+        original = getattr(mpmath, name)
+        monkeypatch.setattr(mpmath, name, lambda *args, f=original: calls.append(f) or f(*args))
+    rung = dephasing._exact_kernel_sum
+    monkeypatch.setattr(dephasing, "_exact_kernel_sum", lambda *args: calls.append(rung) or rung(*args))
+    decay_factor(seq, density, abs_tol=abs_tol)
+    assert calls.count(rung) == 1
+    assert len(calls) - 1 <= limit
+
+
 def test_decay_random_inputs_meet_tolerance():
     rng = np.random.default_rng(7)
     for _ in range(12):
@@ -476,7 +530,7 @@ def test_decay_random_inputs_meet_tolerance():
                             table=tuple(zip(ws, rng.uniform(0.0, 3.0, 5)))),
         ]:
             exact = kernel_sum_mp(seq, density)
-            for abs_tol in (1e-10, 1e-12):
+            for abs_tol in (1e-10, 1e-12, 1e-13):
                 value = decay_factor(seq, density, abs_tol=abs_tol)
                 assert abs(value - exact) <= abs_tol + math.ulp(exact)
 

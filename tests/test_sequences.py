@@ -7,6 +7,7 @@ import pytest
 from expsums import (
     InvalidInputError,
     cheb_nodes,
+    cheb_u,
     alternating_power_sum,
     evaluate,
     filter_expsum,
@@ -16,6 +17,7 @@ from expsums import (
     scaled_sum,
     scaled_sum_order,
     to_json,
+    uhrig_filter_magnitude,
     uhrig_pulse_times,
     uhrig_sum,
     unit_gap_sum,
@@ -264,3 +266,23 @@ def test_json_renders_17_significant_digits():
     doc = json.loads(to_json(g))
     # 0.25 has a short repr; d_1 rounds through 17 digits unchanged
     assert doc["exponents"][1] == fractions(2)[0]
+
+
+@pytest.mark.parametrize(
+    "function,args",
+    [
+        (uhrig_sum, (2.0,)),
+        (rescaled_timings, (4.0,)),
+        (unit_gap_sum, (2.0,)),
+        (uhrig_pulse_times, (2.5, 1.0)),
+        (uhrig_filter_magnitude, (2.5, 1.0, 1.0)),
+        (cheb_nodes, (2.0,)),
+        (cheb_u, (2.5, 0.3)),
+        (alternating_power_sum, (4, 2.5)),
+    ],
+    ids=lambda value: getattr(value, "__name__", repr(value)),
+)
+def test_order_arguments_must_be_integers(function, args):
+    # integral floats too: range() and the power sum need a true int
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        function(*args)
