@@ -340,7 +340,8 @@ def _exact_kernel_sum(seq: PulseSequence, density: SpectralDensity, abs_tol: flo
             scaled = (times[k] - times[j]) ** 2 * W2
             total += (w * W2 * (R - scaled) << 2 * q + Q) // (R + scaled) ** 2
     else:
-        table = density.table if density.kind == TABULATED else ((0.0, 1.0), (density.cutoff, 1.0))
+        table = density.table if density.kind == TABULATED else (
+            (0.0, 1.0), (density.cutoff, 1.0))
         ws, a = _on_one_scale(w for w, _ in table)
         vs, b = _on_one_scale(v for _, v in table)
         steps = [w1 - w0 for w0, w1 in zip(ws, ws[1:])]
@@ -358,28 +359,30 @@ def _exact_kernel_sum(seq: PulseSequence, density: SpectralDensity, abs_tol: flo
         H = sum(abs(c) for _, c in cosines) / M
         lags = np.array([seq.times[k] - seq.times[j] for j, k, _ in pairs])
         weights = np.abs([w for *_, w in pairs])
-        # never coarser than a double
-        P = max(53, _bits(6 * amplitude * float(weights @ (G / lags + H / (lags * lags))), abs_tol))
+        amplified = float(weights @ (G / lags + H / (lags * lags)))
+        P = max(53, _bits(6 * amplitude * amplified, abs_tol))  # never coarser than a double
         Q = max(Q, 2 * P - q)  # keeps the shift of the pair terms nonnegative
-        # cos and sin of t_j*w to P + 10 bits, where mpmath's last-place error
-        # is negligible next to the truncation to P bits
-        trig = {}
+
+        def fixed_cos_sin(x):
+            """cos and sin of x truncated to integers on the scale 2^-P; at
+            P + 10 bits mpmath's last-place error is negligible next to that."""
+            if not x:
+                return 1 << P, 0
+            return tuple(int(mpmath.ldexp(v, P)) for v in mpmath.cos_sin(x))
+
         with mp.workdps(math.ceil((P + 10) * math.log10(2))):
-            for w in {w for w, _ in sines + cosines}:
-                trig[w] = [
-                    tuple(int(mpmath.ldexp(x, P)) for x in mpmath.cos_sin(mpmath.ldexp(t * w, -q - a)))
-                    if t * w else (1 << P, 0) for t in times
-                ]
-        sin_terms = [(trig[w], c) for w, c in sines]
-        cos_terms = [(trig[w], c) for w, c in cosines]
+            trig = {w: [fixed_cos_sin(mpmath.ldexp(t * w, -q - a)) for t in times]
+                    for w in {w for w, _ in sines + cosines}}
         # per time t_j, the (cos, sin) of t_j*w over the terms, and weighted
         # vectors whose dot products with those of t_k are M*2^(2P) times
         # sum c*sin(D*w) and sum c*cos(D*w), by angle addition
         index = range(len(times))
-        plain_s = [[x for cs, _ in sin_terms for x in cs[j]] for j in index]
-        plain_c = [[x for cs, _ in cos_terms for x in cs[j]] for j in index]
-        weighted_s = [[x for cs, c in sin_terms for x in (-c * cs[j][1], c * cs[j][0])] for j in index]
-        weighted_c = [[x for cs, c in cos_terms for x in (c * cs[j][0], c * cs[j][1])] for j in index]
+        plain_s = [[x for w, _ in sines for x in trig[w][j]] for j in index]
+        plain_c = [[x for w, _ in cosines for x in trig[w][j]] for j in index]
+        weighted_s = [[x for w, c in sines for x in (-c * trig[w][j][1], c * trig[w][j][0])]
+                      for j in index]
+        weighted_c = [[x for w, c in cosines for x in (c * trig[w][j][0], c * trig[w][j][1])]
+                      for j in index]
         total = (diag * k0 << Q) >> a + b + 1
         shift = q + Q - 2 * P
         for j, k, w in pairs:
