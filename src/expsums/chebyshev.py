@@ -49,7 +49,7 @@ def cheb_nodes(n: int) -> tuple[float, ...]:
     if _count(n, "n") < 0 or n % 2 != 0:
         raise InvalidInputError(f"n must be an even nonnegative integer, got {n}")
     half = [math.cos(k * math.pi / (2 * n + 2)) for k in range(1, n + 1)]
-    return tuple(half) + (0.0,) + tuple(-a for a in reversed(half))
+    return (*half, 0.0, *[-a for a in reversed(half)])  # a list: see expsum.ExpSum
 
 
 def _even_part(coeffs: Sequence[float]) -> list[float]:

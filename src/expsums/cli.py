@@ -229,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True, help="even construction order")
     p.add_argument("--tol", type=float, default=1e-12, help="relative tolerance")
-    p.add_argument("--digits", type=int, default=None, help="working precision digits")
+    p.add_argument("--digits", type=int, default=None,
+                   help="precision digits away from t = 0; results at t = 0 are exact")
     p.set_defaults(func=cmd_verify_multiplicity)
 
     p = sub.add_parser(

@@ -45,7 +45,7 @@ import numpy as np
 from mpmath import mp
 
 from .errors import InvalidInputError, PrecisionError, _count
-from .expsum import ExpSum, _f17, vanishing_order
+from .expsum import ExpSum, _f17, _on_one_scale, vanishing_order
 from .sequences import PulseSequence, _coefficients, _sin2
 
 __all__ = [
@@ -145,6 +145,11 @@ class SpectralDensity:
     def __post_init__(self):
         if self.kind not in (FLAT, OHMIC, TABULATED):
             raise InvalidInputError(f"unknown spectral density kind {self.kind!r}")
+        try:  # an int beyond the double range would pass the checks below
+            object.__setattr__(self, "amplitude", float(self.amplitude))
+            object.__setattr__(self, "cutoff", None if self.cutoff is None else float(self.cutoff))
+        except (OverflowError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"amplitude and cutoff must be doubles: {exc}") from None
         if not 0 <= self.amplitude < math.inf:
             raise InvalidInputError(f"amplitude must be finite and >= 0, got {self.amplitude}")
         if self.kind in (FLAT, OHMIC):
@@ -281,14 +286,6 @@ def decay_factor(seq: PulseSequence, density: SpectralDensity, abs_tol: float = 
     if bound > abs_tol:
         value = _exact_kernel_sum(seq, density, abs_tol)
     return max(value, 0.0)
-
-
-def _on_one_scale(xs) -> tuple[list[int], int]:
-    """Integers m_i and one e >= 0 with x_i = m_i / 2**e exactly (every
-    double is a dyadic rational)."""
-    ratios = [float(x).as_integer_ratio() for x in xs]
-    e = max(d for _, d in ratios).bit_length() - 1
-    return [(m << e) // d for m, d in ratios], e
 
 
 def _bits(x: float, tol: float) -> int:

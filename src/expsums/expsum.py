@@ -5,8 +5,8 @@ coefficients and exponents with strictly increasing real parts.  On top of it
 this module provides evaluation (double precision with compensated summation,
 or arbitrary precision via mpmath), termwise differentiation, the uniform
 derivative bound sum_j |a_j|*|lambda_j|^m, vanishing-order detection at a
-point, sup-norms over an interval by a grid scan refined with Newton steps,
-and adaptive L1 norms.
+point (in integer arithmetic, exact at t = 0), sup-norms over an interval by
+a grid scan refined with Newton steps, and adaptive L1 norms.
 """
 
 from __future__ import annotations
@@ -53,8 +53,9 @@ class ExpSum:
     exponents: tuple[complex, ...]
 
     def __post_init__(self):
-        coeffs = tuple(complex(c) for c in self.coefficients)
-        exps = tuple(complex(x) for x in self.exponents)
+        # lists: tuple(iterator) resizes, and fills CPython's free lists (~5 MB)
+        coeffs = tuple([complex(c) for c in self.coefficients])
+        exps = tuple([complex(x) for x in self.exponents])
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "exponents", exps)
         if len(coeffs) != len(exps):
@@ -173,48 +174,77 @@ def derivative_sup_bound(g: ExpSum, m: int) -> float:
 
 
 def _default_dps(g: ExpSum) -> int:
-    # Derivatives near a high-order zero cancel terms of size up to the sup
-    # bound; 30 + 2n digits keeps the 1e-12 relative test meaningful.
+    # Away from t0 = 0, derivatives near a high-order zero cancel terms of size
+    # up to the sup bound; 30 + 2n digits keeps the 1e-12 relative test meaningful.
     return 30 + 2 * max(len(g) - 2, 0)
 
 
-def _magnitudes_up_to(g: ExpSum, t0: float, max_order: int, dps: Optional[int]):
-    """Yield (|g^(m)(t0)|, sup bound) for m = 0..max_order, computed
-    incrementally in mpmath, so that a caller can stop at any order.
+def _on_one_scale(xs) -> tuple[list[int], int]:
+    """Integers m_i and one e >= 0 with x_i = m_i / 2**e exactly (every
+    double is a dyadic rational)."""
+    ratios = [float(x).as_integer_ratio() for x in xs]
+    e = max(d for _, d in ratios).bit_length() - 1
+    return [(m << e) // d for m, d in ratios], e
 
-    The working precision is set around each step rather than across the
-    yields, so the caller never runs under it.
+
+def _magnitude(x: int, y: int, e: int) -> float:
+    """|x + i*y| / 2**e correctly rounded, or inf past the double range: a
+    root of 55+ bits with a sticky bit for inexactness cannot create a tie."""
+    if y:
+        square = x * x + y * y
+        s = max(0, 56 - square.bit_length() // 2)
+        root = math.isqrt(square << 2 * s)
+        x, e = 2 * root + (root * root != square << 2 * s), e + s + 1
+    try:
+        return abs(x) / (1 << e)
+    except OverflowError:
+        return math.inf
+
+
+def _magnitudes_up_to(g: ExpSum, t0: float, max_order: int, dps: Optional[int]):
+    """Yield (|g^(m)(t0)|, sup bound) for m = 0..max_order; a caller can stop
+    at any order.
+
+    On one dyadic scale the exponents are integers, lambda_j = L_j/2**q.  Each
+    order multiplies the parts of b_j = a_j*exp(i*lambda_j*t0) by L_j and |a_j|
+    by |L_j|, exactly (i^m drops out of the magnitudes), and each number is
+    one correctly rounded quotient.  At t0 = 0 the b_j are the coefficients,
+    so the pairs are exact and ``dps`` plays no part.  Elsewhere mpmath rounds
+    the b_j once to within 10^-dps * |a_j|, dps being max(dps, 30 + 2n), so
+    each value is within 10^-dps * sum_j |a_j|*|lambda_j|^m (a ladder rounded
+    at every step allows m + len(g) times that), before its own rounding.
     """
     _real_exponents(g)
-    if dps is None:
-        dps = _default_dps(g)
-    dps = max(dps, _default_dps(g))
-    with mp.workdps(dps):
-        t = mpmath.mpf(t0)
-        factors = [
-            mpmath.mpc(a) * mpmath.exp(1j * mpmath.mpf(lam.real) * t)
-            for a, lam in zip(g.coefficients, g.exponents)
-        ]
-        rotations = [1j * mpmath.mpf(lam.real) for lam in g.exponents]
-        bounds = [mpmath.mpf(abs(a)) for a in g.coefficients]
-        bound_factors = [abs(r) for r in rotations]
+    if not math.isfinite(t0):
+        raise InvalidInputError(f"t0 must be finite, got {t0}")
+    lams, q = _on_one_scale(lam.real for lam in g.exponents)
+    bounds, r = _on_one_scale(abs(a) for a in g.coefficients)
+    if t0 == 0:
+        parts, p = _on_one_scale(x for a in g.coefficients for x in (a.real, a.imag))
+    else:
+        bits = math.ceil(max(dps or 0, _default_dps(g)) * math.log2(10)) + 8
+        low = min((math.frexp(abs(a))[1] for a in g.coefficients if a), default=0)
+        p = max(0, bits + 1 - low)  # 2^-p <= 2^-bits * |a_j| if a_j != 0
+        with mp.workprec(bits + 8):  # >= 106 bits: lambda_j*t0 is exact
+            starts = [mpmath.mpc(a) * mpmath.expj(mpmath.mpf(lam.real) * t0)
+                      for a, lam in zip(g.coefficients, g.exponents)]
+            parts = [int(mpmath.ldexp(x, p)) for b in starts for x in (b.real, b.imag)]
+    xs, ys, sizes = parts[::2], parts[1::2], [abs(L) for L in lams]
     for m in range(max_order + 1):
-        with mp.workdps(dps):
-            if m > 0:
-                factors = [f * r for f, r in zip(factors, rotations)]
-                bounds = [b * bf for b, bf in zip(bounds, bound_factors)]
-            value = float(abs(mpmath.fsum(factors, absolute=False)))
-            bound = float(mpmath.fsum(bounds))
-        yield value, bound
+        if m > 0:
+            xs = [x * L for x, L in zip(xs, lams)]
+            ys = [y * L for y, L in zip(ys, lams)]
+            bounds = [b * L for b, L in zip(bounds, sizes)]
+        yield _magnitude(sum(xs), sum(ys), p + q * m), _magnitude(sum(bounds), 0, r + q * m)
 
 
 def derivative_magnitudes(
     g: ExpSum, t0: float, max_order: int, dps: Optional[int] = None
 ) -> list[tuple[float, float]]:
-    """Pairs (|g^(m)(t0)|, sup bound) for m = 0..max_order, at working precision.
+    """Pairs (|g^(m)(t0)|, sup bound sum_j |a_j|*|lambda_j|^m), m = 0..max_order.
 
-    The magnitudes are computed with mpmath and rounded to float on the way
-    out; the bound for m >= 1 is sum |a_j|*|lambda_j|^m.
+    Exact at t0 = 0, where ``dps`` has no effect; elsewhere ``dps`` digits (at
+    least 30 + 2n) bound the error, see :func:`_magnitudes_up_to`.
     """
     if max_order < 0:
         raise InvalidInputError(f"max_order must be nonnegative, got {max_order}")
@@ -231,7 +261,8 @@ def vanishing_order(
     """Smallest m with |g^(m)(t0)| > rel_tol * sum_j |a_j|*|lambda_j|^m.
 
     The relative normalization makes the answer invariant under exponent
-    scaling.  Returns ``None`` if no order below ``m_max`` (default
+    scaling; the magnitudes are those of :func:`derivative_magnitudes`, exact
+    at t0 = 0.  Returns ``None`` if no order below ``m_max`` (default
     2*len(g) + 8) exceeds the threshold.  Raises :class:`PrecisionError` if a
     zero sup bound coexists with a nonzero computed value, which can only be
     a precision artifact.

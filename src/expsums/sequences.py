@@ -85,7 +85,7 @@ class PulseSequence:
     times: tuple[float, ...]
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.times)
+        times = tuple([float(t) for t in self.times])  # a list: see ExpSum
         object.__setattr__(self, "times", times)
         if len(times) < 2:
             raise InvalidInputError("a pulse sequence needs at least the two endpoints")

@@ -1,11 +1,13 @@
 import json
 import math
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from expsums import filter_function, uhrig_pulse_times
+from expsums import filter_function, sequence_to_json, uhrig_pulse_times
 from expsums.cli import main
 from expsums.expsum import _f17
 
@@ -322,3 +324,23 @@ def test_console_script_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "j,t"
+
+
+# ---------------------------------------------------------------------------
+# the README's examples
+
+def readme_cli_lines():
+    """The ``expsums ...`` command lines of the README's ``## CLI`` block."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line.split(" # ")[0].rstrip() for line in block.splitlines()
+            if line.startswith("expsums ")]
+
+
+@pytest.mark.parametrize("line", readme_cli_lines())
+def test_readme_cli_examples_run(line, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seq.json").write_text(sequence_to_json(uhrig_pulse_times(4, 1.0)))
+    (tmp_path / "dens.json").write_text(
+        json.dumps({"kind": "hard-cutoff-flat", "amplitude": 1.0, "cutoff": 1.0}))
+    assert main(shlex.split(line)[1:]) == 0, capsys.readouterr().err

@@ -237,8 +237,11 @@ def test_density_validation():
         dict(kind="hard-cutoff-flat", amplitude=math.nan, cutoff=1.0),
         dict(kind="tabulated", table=((0.0, 1.0), (math.nan, 2.0))),
         dict(kind="tabulated", table=((0.0, math.nan), (1.0, 2.0))),
+        dict(kind="hard-cutoff-flat", cutoff=10**400),
+        dict(kind="hard-cutoff-flat", amplitude=10**400, cutoff=1.0),
     ],
-    ids=["nan-cutoff", "inf-cutoff", "nan-amplitude", "nan-table-frequency", "nan-table-value"],
+    ids=["nan-cutoff", "inf-cutoff", "nan-amplitude", "nan-table-frequency", "nan-table-value",
+         "huge-int-cutoff", "huge-int-amplitude"],
 )
 def test_density_rejects_nonfinite(kwargs):
     with pytest.raises(InvalidInputError):

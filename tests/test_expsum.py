@@ -2,7 +2,9 @@ import io
 import json
 import math
 import sys
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -234,6 +236,127 @@ def test_derivative_magnitudes_report():
         assert value <= 1e-12 * bound
     value, bound = pairs[3]
     assert value > 1e-6 * bound
+
+
+# ---------------------------------------------------------------------------
+# the derivative ladder
+
+COMPLEX_SUM = ExpSum(coefficients=(0.3 - 0.7j, -1.1 + 0.2j, 0.55 + 0.45j, 0.2j),
+                     exponents=(-1.25, 0.1, 0.7, 2.0))
+LADDER_SUMS = [
+    *(pytest.param(uhrig_sum(n), id=f"uhrig{n}") for n in range(2, 41, 2)),
+    *(pytest.param(unit_gap_sum(n), id=f"unit_gap{n}") for n in (4, 10, 20)),
+    *(pytest.param(scaled_sum(b), id=f"scaled{b}") for b in (1.0, 0.3, 0.1)),
+    pytest.param(COMPLEX_SUM, id="complex"),
+]
+
+
+def mp_ladder(g, t0, max_order, dps):
+    """(|g^(m)(t0)|, sup bound) for m = 0..max_order from mpmath products
+    rounded at ``dps`` digits per step: the reference for the integer ladder."""
+    with mpmath.mp.workdps(dps):
+        t = mpmath.mpf(t0)
+        factors = [mpmath.mpc(a) * mpmath.exp(1j * mpmath.mpf(lam.real) * t)
+                   for a, lam in zip(g.coefficients, g.exponents)]
+        bounds = [mpmath.mpf(abs(a)) for a in g.coefficients]
+        pairs = []
+        for m in range(max_order + 1):
+            if m > 0:
+                factors = [f * 1j * mpmath.mpf(lam.real) for f, lam in zip(factors, g.exponents)]
+                bounds = [b * abs(lam.real) for b, lam in zip(bounds, g.exponents)]
+            pairs.append((float(abs(mpmath.fsum(factors))), float(mpmath.fsum(bounds))))
+    return pairs
+
+
+def exact_at_zero(g, max_order):
+    """(Re, Im) of sum_j a_j*lambda_j^m and sum_j |a_j|*|lambda_j|^m, as
+    fractions, for m = 0..max_order; |a_j| is the double abs(a_j)."""
+    lams = [Fraction(lam.real) for lam in g.exponents]
+    xs = [Fraction(a.real) for a in g.coefficients]
+    ys = [Fraction(a.imag) for a in g.coefficients]
+    bounds = [Fraction(abs(a)) for a in g.coefficients]
+    for m in range(max_order + 1):
+        if m > 0:
+            xs = [x * lam for x, lam in zip(xs, lams)]
+            ys = [y * lam for y, lam in zip(ys, lams)]
+            bounds = [b * abs(lam) for b, lam in zip(bounds, lams)]
+        yield sum(xs), sum(ys), sum(bounds)
+
+
+@pytest.mark.parametrize("g", LADDER_SUMS)
+def test_ladder_at_zero_is_exact(g):
+    cap = 2 * len(g) + 8
+    pairs = derivative_magnitudes(g, 0.0, cap)
+    assert len(pairs) == cap + 1
+    for (value, bound), (x, y, exact_bound) in zip(pairs, exact_at_zero(g, cap)):
+        assert bound == float(exact_bound)  # Fraction -> float rounds correctly
+        if not y:
+            assert value == float(abs(x))
+            continue
+        with mpmath.mp.workprec(400):
+            modulus = float(mpmath.hypot(mpmath.mpf(x.numerator) / x.denominator,
+                                         mpmath.mpf(y.numerator) / y.denominator))
+        assert abs(value - modulus) <= math.ulp(modulus)
+
+
+@pytest.mark.parametrize("g", [uhrig_sum(10), unit_gap_sum(20), COMPLEX_SUM])
+def test_ladder_at_zero_ignores_dps(g):
+    pairs = derivative_magnitudes(g, 0.0, 30)
+    assert derivative_magnitudes(g, 0.0, 30, dps=20) == pairs
+    assert derivative_magnitudes(g, 0.0, 30, dps=200) == pairs
+
+
+def test_ladder_at_zero_needs_no_mpmath(monkeypatch):
+    class Forbidden:
+        def __getattr__(self, name):
+            raise AssertionError(f"mpmath.{name} used at t0 = 0")
+
+    monkeypatch.setattr(expsum, "mpmath", Forbidden())
+    monkeypatch.setattr(expsum, "mp", Forbidden())
+    assert vanishing_order(uhrig_sum(20)) == 21
+
+
+# 2^-60 * e^(it) * (1 - e^(iht))^4 for h = 2^-30: at any t its derivatives
+# cancel to about h^4 = 1e-36 of their bounds, so there the stated bound, not
+# the ulp, decides the comparison below; the tiny coefficients test the scale
+FOURTH_DIFFERENCE = ExpSum(coefficients=tuple(c * 2.0**-60 for c in (1, -4, 6, -4, 1)),
+                           exponents=tuple(1 + j * 2.0**-30 for j in range(5)))
+
+
+@pytest.mark.parametrize("t0", [1.0, 0.37, -2.5, 40.0])
+@pytest.mark.parametrize("g, dps", [(uhrig_sum(10), None), (unit_gap_sum(10), 60),
+                                    (COMPLEX_SUM, None), (FOURTH_DIFFERENCE, None)],
+                         ids=["uhrig10", "unit_gap10", "complex", "fourth_difference"])
+def test_ladder_away_from_zero_meets_its_bound(g, dps, t0):
+    # the stated bound for the effective precision, against a ladder at twice it
+    dps_eff = max(dps or 0, expsum._default_dps(g))
+    cap = 2 * len(g) + 8
+    pairs = derivative_magnitudes(g, t0, cap, dps=dps)
+    reference = mp_ladder(g, t0, cap, 2 * dps_eff)
+    for m, ((value, bound), (want, want_bound)) in enumerate(zip(pairs, reference)):
+        assert bound == want_bound
+        assert abs(value - want) <= (m + len(g)) * 10.0 ** -dps_eff * bound + math.ulp(want)
+
+
+def test_magnitude_rounds_correctly():
+    assert expsum._magnitude(3, 4, 1) == 2.5
+    # sqrt(R^2 + 1) lies just above the midpoint R between the doubles
+    # 2^55 + 8*M and 2^55 + 8*(M + 1): only a sticky bit rounds it up
+    M = 2**52
+    R = (2 * M + 1) * 4
+    assert expsum._magnitude(R, 1, 0) == float((M + 1) * 8)
+
+
+@pytest.mark.parametrize("t0", [math.nan, math.inf])
+def test_ladder_rejects_nonfinite_t0(t0):
+    with pytest.raises(InvalidInputError):
+        vanishing_order(TWO_TERM, t0)
+
+
+@pytest.mark.parametrize("t0", [0.0, 1.0])
+def test_ladder_overflows_to_inf(t0):
+    g = ExpSum(coefficients=(1, -1), exponents=(0, 1e4))
+    assert derivative_magnitudes(g, t0, 90)[90] == (math.inf, math.inf)
 
 
 # ---------------------------------------------------------------------------
