@@ -10,10 +10,13 @@ Subdivision is capped at depth ``max_depth``, i.e. at most 2**max_depth leaf
 subintervals.  The panel tree is built one depth level at a time: the integrand
 is called once per level on the 46 nodes of all its panels (in slices of at
 most ``_SLICE_POINTS`` points, so memory stays flat however wide a level
-grows).  The result is then summed bottom-up along the tree, a split panel
-taking left child + right child, which is the summation order of a depth-first
-left-to-right recursion: the value and error estimate are deterministic and do
-not depend on the slicing.
+grows); the node array carries ``panels = (mid, halfwidth, x)`` for an
+integrand that evaluates mid_i + halfwidth_i*x_k in factored form.  The result
+is then summed bottom-up along the tree, a split panel taking left child +
+right child, which is the summation order of a depth-first left-to-right
+recursion: the value and error estimate are deterministic and, for given
+integrand values, do not depend on the slicing.  A blockwise integrand (a
+matrix product, say) may round a node differently in a slice of another size.
 """
 
 from __future__ import annotations
@@ -36,11 +39,19 @@ _N_LO = len(_GL_LO[0])
 _SLICE_POINTS = 65_536
 
 
+class _Nodes(np.ndarray):
+    """Flat panel nodes with ``panels = (mid, halfwidth, x)``; arrays computed
+    from them, and ``np.asarray``, drop it."""
+
+    panels = None
+
+
 def _panels(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the panels [a_i, b_i]; return (high-order values, error estimates)."""
     mid = 0.5 * (a + b)
     halfwidth = 0.5 * (b - a)
-    ts = (mid[:, None] + halfwidth[:, None] * _NODES).ravel()
+    ts = (mid[:, None] + halfwidth[:, None] * _NODES).ravel().view(_Nodes)
+    ts.panels = (mid, halfwidth, _NODES)
     rows = np.asarray(f(ts)).reshape(len(a), len(_NODES))
     # np.vecdot takes the 1-D dot of np.dot row by row, so each panel sums in
     # the same order as a lone np.dot(w, f(nodes)); a matrix-vector product

@@ -168,6 +168,21 @@ def test_one_integrand_call_per_level(monkeypatch, slice_panels):
         assert extra == 0
 
 
+def test_nodes_carry_their_panels():
+    levels = []
+
+    def f(ts):
+        mid, halfwidth, x = ts.panels
+        assert np.array_equal(ts, (mid[:, None] + halfwidth[:, None] * x).ravel())
+        assert np.sin(ts).panels is None and not hasattr(np.asarray(ts), "panels")
+        levels.append(len(mid))
+        return np.abs(np.sin(ts))
+
+    value, _ = adaptive_gauss_legendre(f, 0.0, 20.0, 1e-11)
+    assert value == adaptive_gauss_legendre(lambda x: np.abs(np.sin(x)), 0.0, 20.0, 1e-11)[0]
+    assert len(levels) > 1 and levels[0] == 1
+
+
 def test_nan_integrand_raises_at_once():
     f, sizes = counted(lambda x: np.full_like(x, np.nan))
     with pytest.raises(QuadratureError, match="not finite"):
