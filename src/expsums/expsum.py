@@ -146,13 +146,21 @@ def evaluate(g: ExpSum, t: float, dps: Optional[int] = None):
         )
 
 
+_BLOCK = 64  # grid points per block of _values_on_grid
+
+
 def _values_on_grid(g: ExpSum, ts: np.ndarray) -> np.ndarray:
-    """Vectorized g(ts) for real exponents; fixed term order for determinism."""
-    lam = _real_exponents(g)
-    acc = np.zeros(np.shape(ts), dtype=complex)
-    for a, x in zip(g.coefficients, lam):
-        acc = acc + a * np.exp(1j * x * np.asarray(ts, dtype=float))
-    return acc
+    """g(ts) for real exponents on a uniform grid ``ts`` from ``np.linspace``
+    with at least two points.  The grid is cut into blocks of 64 points,
+    evaluated by :func:`_values_on_panels` with the block starts as centres,
+    the spacing h as half-width and 0..63 as nodes: one exp per (block, term).
+    Each value is within c*eps*sum_j |a_j|*(1 + |lambda_j|*(|start| + 64*h))
+    of g at its grid point, ``start`` being its block's first point."""
+    h = (ts[-1] - ts[0]) / (len(ts) - 1)
+    starts = ts[::_BLOCK]
+    values = _values_on_panels(1j * _real_exponents(g), np.array(g.coefficients)[:, None],
+                               starts, np.full(len(starts), h), np.arange(float(_BLOCK)))
+    return values.ravel()[:len(ts)]
 
 
 def _values_on_panels(ilam, coefficients, mid, halfwidth, nodes) -> np.ndarray:
@@ -315,8 +323,11 @@ def _first_order(pairs: Iterable[tuple[float, float]], rel_tol: float) -> Option
 
 
 class SupNormResult(NamedTuple):
-    """Certified-from-below sup of |g|: the true sup exceeds ``value`` by at
-    most ``slack`` (grid spacing times the first-derivative bound)."""
+    """Sup of |g| found by :func:`sup_norm`: ``value`` is |g| at ``argmax``
+    up to the evaluator's rounding bound, and ``slack`` (grid spacing times
+    the first-derivative bound) covers only the grid spacing, not rounding.
+    Below the rounding floor ``value`` is roundoff and can exceed the true
+    sup by orders of magnitude."""
 
     value: float
     argmax: float
@@ -382,12 +393,15 @@ def default_grid_points(g: ExpSum, interval: Interval) -> int:
 def sup_norm(g: ExpSum, interval: Interval, grid_points: Optional[int] = None) -> SupNormResult:
     """Maximum of |g| over the interval by grid scan plus Newton refinement.
 
-    Scans a uniform grid, then refines around the three best local maxima by
-    a safeguarded Newton search on the derivative of |g|^2 (see
-    :func:`_golden_max`); a refined point counts with its exactly rounded
-    value |evaluate(g, t)|.  The returned value is a lower bound on the true
-    sup; ``slack`` bounds the possible shortfall via the Lipschitz constant
-    of g.
+    Scans a uniform grid in factored 64-point blocks (:func:`_values_on_grid`),
+    then refines around the three best local maxima by a safeguarded Newton
+    search on the derivative of |g|^2 (see :func:`_golden_max`); a refined
+    point counts with its exactly rounded value |evaluate(g, t)|.  The
+    returned value is |g| at the returned argmax up to the evaluator's
+    rounding bound; ``slack`` bounds what the grid spacing can hide, via the
+    Lipschitz constant of g, and says nothing about rounding.  Where the true
+    sup lies below the rounding floor, about eps*sum_j |a_j|, the value is
+    roundoff and not a lower bound.
     """
     if grid_points is None:
         grid_points = default_grid_points(g, interval)

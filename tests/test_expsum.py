@@ -685,6 +685,55 @@ def test_values_on_panels_within_stated_bound():
                 assert abs(got[i, k] - complex(evaluate(g, t, dps=60))) <= bound
 
 
+def grid_bounds(g, ts):
+    """4*eps*sum_j |a_j|*(1 + |lambda_j|*(|start| + 64*h)) at each grid point,
+    ``start`` being the first point of its 64-point block."""
+    a, lam = np.abs(g.coefficients), np.abs(np.array(g.exponents).real)
+    h = (ts[-1] - ts[0]) / (len(ts) - 1)
+    starts = np.abs(ts[::64]).repeat(64)[:len(ts)]
+    return 4 * np.finfo(float).eps * (1 + np.multiply.outer(starts + 64 * h, lam)) @ a
+
+
+@pytest.mark.parametrize("size", [1, 13, 41])
+def test_values_on_grid_within_stated_bound(size):
+    rng = np.random.default_rng(size)
+    lam = np.sort(rng.uniform(-100.0, 100.0, size))
+    a = rng.normal(size=size) + 1j * rng.normal(size=size)
+    g = ExpSum(coefficients=tuple(a), exponents=tuple(lam))
+    # partial and exact final blocks, on intervals far from 0
+    for n in (16, 63, 64, 65, 1000, 3873):
+        lo = rng.choice([-1.0, 1.0]) * rng.uniform(20.0, 90.0)
+        ts = np.linspace(lo, lo + rng.uniform(0.5, 10.0), n)
+        got = _values_on_grid(g, ts)
+        assert got.shape == (n,)
+        bound = grid_bounds(g, ts)
+        for k in range(0, n, 5):
+            assert abs(got[k] - complex(evaluate(g, ts[k], dps=60))) <= bound[k], (n, k)
+    interval, buf = Interval.from_endpoints(ts[0], ts[-1]), io.StringIO()
+    write_scan_csv(g, interval, n, buf)
+    rows = np.array([[float(x) for x in line.split(",")]
+                     for line in buf.getvalue().splitlines()[1:]])
+    ts = np.linspace(interval.left, interval.right, n)
+    assert np.array_equal(rows[:, 0], ts)
+    bound = grid_bounds(g, ts)
+    for k in range(0, n, 5):
+        want = complex(evaluate(g, rows[k, 0], dps=60))
+        assert abs(complex(rows[k, 1], rows[k, 2]) - want) <= bound[k], k
+
+
+def test_sup_norm_scans_in_64_point_blocks(monkeypatch):
+    calls = []
+    values_on_panels = expsum._values_on_panels
+
+    def spy(ilam, coefficients, mid, halfwidth, nodes):
+        calls.append((len(mid), len(nodes)))
+        return values_on_panels(ilam, coefficients, mid, halfwidth, nodes)
+
+    monkeypatch.setattr(expsum, "_values_on_panels", spy)
+    sup_norm(uhrig_sum(20), Interval(y=3.0, a=5.0), grid_points=1024)
+    assert calls == [(16, 64)]
+
+
 def antisymmetric_l1(g, lo, hi):
     """Integral of |g| over [lo, hi] for exponents symmetric about their
     midpoint c and antisymmetric coefficients, as in every uhrig, unit_gap

@@ -5,7 +5,7 @@ import pytest
 
 from expsums import QuadratureError, scaled_sum, uhrig_sum, unit_gap_sum
 from expsums import quadrature
-from expsums.expsum import _values_on_grid
+from expsums.expsum import _real_exponents
 from expsums.quadrature import adaptive_gauss_legendre
 
 
@@ -97,7 +97,17 @@ def outcome(quad, f, lo, hi, abs_tol, **kw):
 
 
 def abs_sum(g):
-    return lambda ts: np.abs(_values_on_grid(g, ts))
+    """|g| at arbitrary points (here Gauss nodes), one exp per (point, term):
+    the same pointwise integrand for both quadratures."""
+    lam = _real_exponents(g)
+
+    def f(ts):
+        acc = np.zeros(np.shape(ts), dtype=complex)
+        for a, x in zip(g.coefficients, lam):
+            acc = acc + a * np.exp(1j * x * np.asarray(ts, dtype=float))
+        return np.abs(acc)
+
+    return f
 
 
 BITWISE_CASES = [
