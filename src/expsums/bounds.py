@@ -102,31 +102,21 @@ def check_taylor_envelope(a: float, grid_points: Optional[int] = None) -> Envelo
     if not 0 < a <= 1.0 / 3.0:
         raise InvalidInputError(f"a must lie in (0, 1/3], got {a}")
     b = 9.0 * a
-    g = scaled_sum(b)
-    result = sup_norm(g, Interval(y=-a, a=2 * a), grid_points=grid_points)
-    envelope = taylor_envelope_b(b)
-    return EnvelopeCheck(
-        a=a,
-        order=scaled_sum_order(b),
-        achieved_max=result.value,
-        envelope=envelope,
-        passes=result.value <= envelope,
-    )
+    return _check(a, scaled_sum(b), scaled_sum_order(b), taylor_envelope_b(b), grid_points)
 
 
 def check_stirling_envelope(a: float, grid_points: Optional[int] = None) -> EnvelopeCheck:
     """Compare the unit-gap construction's maximum on [-a, a] with the Stirling envelope."""
     n = unit_gap_order_for_radius(a)
-    g = unit_gap_sum(n)
-    result = sup_norm(g, Interval(y=-a, a=2 * a), grid_points=grid_points)
-    envelope = stirling_envelope(a)
-    return EnvelopeCheck(
-        a=a,
-        order=n,
-        achieved_max=result.value,
-        envelope=envelope,
-        passes=result.value <= envelope,
-    )
+    return _check(a, unit_gap_sum(n), n, stirling_envelope(a), grid_points)
+
+
+def _check(a: float, g: ExpSum, order: int, envelope: float,
+           grid_points: Optional[int]) -> EnvelopeCheck:
+    """The maximum of g on [-a, a] against the envelope."""
+    value = sup_norm(g, Interval(y=-a, a=2 * a), grid_points=grid_points).value
+    return EnvelopeCheck(a=a, order=order, achieved_max=value, envelope=envelope,
+                         passes=value <= envelope)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,12 @@ Subcommands::
     l1-scan              L1 masses and implied decay constants over a b-grid
     filter               |f(omega)| of a sequence over a frequency grid
 
-Data goes to stdout (or ``--out``); diagnostics go to stderr.  Exit codes:
+Data goes to stdout (or ``--out``); diagnostics go to stderr.  ``--format``
+applies to every subcommand: ``csv`` (default) writes the rows under a
+header line, numbers to 17 significant digits; ``json`` writes one document,
+by default the rows as objects keyed by the header.  ``uhrig --format json``
+writes the pulse-sequence file format, and ``chi`` prints one number in
+either format.  Exit codes:
 0 success / all checks pass, 1 a claim check failed, 2 invalid usage or
 input, 3 numeric failure (insufficient precision or quadrature breakdown).
 """
@@ -18,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -43,6 +49,27 @@ def _emit(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text)
 
 
+def _write(args, header: tuple[str, ...], rows: list, doc=None) -> None:
+    """Write a subcommand's table in ``args.format`` to ``args.out``.
+
+    CSV: the header line, then one line per row, numbers with 17 significant
+    digits (the rule of ``_f17``) and bools as ``true``/``false``.  JSON:
+    ``doc(records)``, or the records themselves, where the records are the
+    rows as objects keyed by the header.
+    """
+    if args.format == "json":
+        records = [dict(zip(header, row)) for row in rows]
+        text = json.dumps(records if doc is None else doc(records), indent=2) + "\n"
+    else:
+        bools = [isinstance(v, bool) for v in rows[0]]
+        if any(bools):
+            rows = [[str(v).lower() if b else v for v, b in zip(row, bools)] for row in rows]
+        # one format string per table: per-cell calls would dominate a large filter
+        line = ",".join("{}" if b else "{:.17g}" for b in bools) + "\n"
+        text = ",".join(header) + "\n" + "".join(itertools.starmap(line.format, rows))
+    _emit(text, args.out)
+
+
 def _parse_grid(text: str) -> list[float]:
     items = [s for chunk in text.split(",") for s in chunk.split()]
     try:
@@ -62,8 +89,7 @@ def cmd_uhrig(args) -> int:
     if args.format == "json":
         _emit(dephasing.sequence_to_json(seq) + "\n", args.out)
     else:
-        rows = "".join(f"{j},{_f17(t)}\n" for j, t in enumerate(seq.times))
-        _emit("j,t\n" + rows, args.out)
+        _write(args, ("j", "t"), list(enumerate(seq.times)))
     return EXIT_OK
 
 
@@ -71,27 +97,14 @@ def cmd_verify_multiplicity(args) -> int:
     g = uhrig_sum(args.n)
     expected = args.n + 1
     cap = 2 * len(g) + 8
-    pairs = derivative_magnitudes(g, 0.0, cap, dps=args.digits)
+    pairs = derivative_magnitudes(g, 0.0, cap)
     order = _first_order(pairs, args.tol)
     shown = pairs[: (order if order is not None else cap) + 1]
-    if args.format == "json":
-        doc = {
-            "n": args.n,
-            "rel_tol": args.tol,
-            "order": order,
-            "expected": expected,
-            "residuals": [
-                {"m": m, "value": v, "bound": b, "relative": (v / b if b else 0.0)}
-                for m, (v, b) in enumerate(shown)
-            ],
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        rows = "".join(
-            f"{m},{_f17(v)},{_f17(b)},{_f17(v / b if b else 0.0)}\n"
-            for m, (v, b) in enumerate(shown)
-        )
-        _emit("m,value,bound,relative\n" + rows, args.out)
+    rows = [(m, v, b, v / b if b else 0.0) for m, (v, b) in enumerate(shown)]
+    _write(args, ("m", "value", "bound", "relative"), rows, lambda records: {
+        "n": args.n, "rel_tol": args.tol, "order": order, "expected": expected,
+        "residuals": records,
+    })
     print(f"order={order} expected={expected}", file=sys.stderr)
     return EXIT_OK if order == expected else EXIT_CLAIM_FAILED
 
@@ -102,46 +115,20 @@ def cmd_bounds_scan(args) -> int:
         bounds.check_taylor_envelope if args.family == "taylor"
         else bounds.check_stirling_envelope
     )
-    rows = [check(a, grid_points=args.grid_points) for a in grid]
+    checks = [check(a, grid_points=args.grid_points) for a in grid]
     try:
-        fit = bounds.scaling_fit([(r.a, r.achieved_max) for r in rows])
-        fit_doc = {
-            "c_est": fit.fit_slope,
-            "intercept": fit.fit_intercept,
-            "r2": fit.r_squared,
-            "n_points": len(rows),
-        }
+        fit = bounds.scaling_fit([(r.a, r.achieved_max) for r in checks])
+        fit_doc = {"c_est": fit.fit_slope, "intercept": fit.fit_intercept, "r2": fit.r_squared}
     except InvalidInputError:
-        fit_doc = {"c_est": None, "intercept": None, "r2": None, "n_points": len(rows)}
-    fit_json = json.dumps(fit_doc)
-
-    if args.format == "json":
-        doc = {
-            "family": args.family,
-            "rows": [
-                {
-                    "a": r.a,
-                    "value": r.achieved_max,
-                    "envelope": r.envelope,
-                    "passes": r.passes,
-                }
-                for r in rows
-            ],
-            "fit": fit_doc,
-        }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        csv_text = "a,value,envelope,passes\n" + "".join(
-            f"{_f17(r.a)},{_f17(r.achieved_max)},{_f17(r.envelope)},"
-            f"{'true' if r.passes else 'false'}\n"
-            for r in rows
-        )
-        _emit(csv_text, args.out)
-        if args.out is not None:
-            Path(args.out + ".fit.json").write_text(fit_json + "\n")
-        else:
-            sys.stdout.write(fit_json + "\n")
-    return EXIT_OK if all(r.passes for r in rows) else EXIT_CLAIM_FAILED
+        fit_doc = dict.fromkeys(("c_est", "intercept", "r2"))
+    fit_doc["n_points"] = len(checks)
+    rows = [(r.a, r.achieved_max, r.envelope, r.passes) for r in checks]
+    _write(args, ("a", "value", "envelope", "passes"), rows,
+           lambda records: {"family": args.family, "rows": records, "fit": fit_doc})
+    if args.format == "csv":
+        # the fit goes after the rows, or next to --out
+        _emit(json.dumps(fit_doc) + "\n", args.out and args.out + ".fit.json")
+    return EXIT_OK if all(r.passes for r in checks) else EXIT_CLAIM_FAILED
 
 
 def cmd_chi(args) -> int:
@@ -155,7 +142,7 @@ def cmd_chi(args) -> int:
 
 def cmd_l1_scan(args) -> int:
     grid = _parse_grid(args.b_grid)
-    records = []
+    rows = []
     for b in grid:
         g = scaled_sum(b)
         if args.interval_policy == "half":
@@ -163,17 +150,8 @@ def cmd_l1_scan(args) -> int:
         else:
             interval = Interval(y=-b / 9.0, a=2.0 * b / 9.0)
         probe = bounds.lower_bound_probe(g, interval, delta=1.0)
-        records.append((b, interval.length, probe.l1, probe.implied_c))
-    if args.format == "json":
-        doc = [
-            {"b": b, "a": a, "l1": l1, "implied_c": c} for b, a, l1, c in records
-        ]
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    else:
-        rows = "".join(
-            f"{_f17(b)},{_f17(a)},{_f17(l1)},{_f17(c)}\n" for b, a, l1, c in records
-        )
-        _emit("b,a,l1,implied_c\n" + rows, args.out)
+        rows.append((b, interval.length, probe.l1, probe.implied_c))
+    _write(args, ("b", "a", "l1", "implied_c"), rows)
     return EXIT_OK
 
 
@@ -197,8 +175,7 @@ def cmd_filter(args) -> int:
     f = dephasing.filter_function(seq, omegas)
     # np.hypot rounds like abs() of a complex; np.abs can differ in the last bit
     values = np.hypot(f.real, f.imag)
-    rows = "".join(f"{_f17(w)},{_f17(v)}\n" for w, v in zip(omegas, values))
-    _emit("omega,abs\n" + rows, args.out)
+    _write(args, ("omega", "abs"), list(zip(omegas.tolist(), values.tolist())))
     return EXIT_OK
 
 
@@ -229,8 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--n", type=int, required=True, help="even construction order")
     p.add_argument("--tol", type=float, default=1e-12, help="relative tolerance")
-    p.add_argument("--digits", type=int, default=None,
-                   help="precision digits away from t = 0; results at t = 0 are exact")
     p.set_defaults(func=cmd_verify_multiplicity)
 
     p = sub.add_parser(

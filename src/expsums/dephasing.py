@@ -88,16 +88,14 @@ def filter_expsum(seq: PulseSequence) -> ExpSum:
     return ExpSum(coefficients=_coefficients(seq.n_pulses), exponents=seq.times)
 
 
-def vanishing_order_filter(
-    seq: PulseSequence, rel_tol: float = 1e-12, dps: Optional[int] = None
-) -> Optional[int]:
+def vanishing_order_filter(seq: PulseSequence, rel_tol: float = 1e-12) -> Optional[int]:
     """Order of the first nonvanishing Taylor coefficient of f at omega = 0.
 
     Reported as the raw derivative order of the exponential-sum form: a
     sequence whose filter starts at omega^(m+1) suppresses the leading m
     orders of the decay integrand.
     """
-    return vanishing_order(filter_expsum(seq), 0.0, rel_tol=rel_tol, dps=dps)
+    return vanishing_order(filter_expsum(seq), 0.0, rel_tol=rel_tol)
 
 
 def uhrig_filter_magnitude(n: int, total_time: float, omega: float, dps: int = 50) -> float:
@@ -197,17 +195,17 @@ def _kernel(density: SpectralDensity, lags: np.ndarray):
     per unit amplitude, at D = 0 and at the positive ``lags``, in double
     precision.
 
-    Returns ``(K(0), K(lags), bounds)``.  ``bounds()`` gives a-priori bounds,
-    to first order in the unit roundoff u and barring underflow, on the
-    rounding errors of K(0) and of each K(lag), counting the rounding of the
-    lags themselves.
+    Returns ``(K(0), K(lags), e0, errors)``: next to the values, a-priori
+    bounds, to first order in the unit roundoff u and barring underflow, on
+    the rounding errors of K(0) and of each K(lag), counting the rounding of
+    the lags themselves.
     """
     if density.kind == FLAT:
         wc = float(density.cutoff)
         values = np.sin(lags * wc) / lags
         # the lag and the product move the argument by 2u*|D*wc|; the sine,
         # the lag and the division add (_SIN_ERR + 2u)*|K|
-        return wc, values, lambda: (0.0, 2 * _U * wc + (_SIN_ERR + 2 * _U) * np.abs(values))
+        return wc, values, 0.0, 2 * _U * wc + (_SIN_ERR + 2 * _U) * np.abs(values)
     if density.kind == OHMIC:
         wc = float(density.cutoff)
         s = 1 / (wc * wc)
@@ -216,7 +214,7 @@ def _kernel(density: SpectralDensity, lags: np.ndarray):
         values = -(square - s) / (base * base)
         # square and s carry 3u and 2u, so the numerator is off by 3u*base;
         # the squared base carries 9u and the division u
-        return wc * wc, values, lambda: (_U * wc * wc, _U * (3 / base + 11 * np.abs(values)))
+        return wc * wc, values, _U * wc * wc, _U * (3 / base + 11 * np.abs(values))
     # Integrating by parts leaves the edge values and, per breakpoint w_k, the
     # slope change times the integral of sin(D*omega)/D from w_k on, which is
     # 2*sin^2(D*w_k/2)/D^2 up to a constant that cancels over the table.
@@ -231,21 +229,17 @@ def _kernel(density: SpectralDensity, lags: np.ndarray):
     squares = halves * halves
     values = (edges[:, 1] * vs[-1] - edges[:, 0] * vs[0]) / lags \
         + 2 * squares.dot(jumps) / (lags * lags)
-
-    def bounds():
-        # slopes carry 3 roundings each, so a jump is known to 3u times the
-        # slopes it joins; every other rounding scales with the jump itself
-        sizes = np.abs(jumps)
-        joined = np.array([abs(a) + abs(b) for a, b in zip(slopes, slopes[1:])])
-        edge = (vs[-1] * np.abs(edges[:, 1]) + vs[0] * np.abs(edges[:, 0])) / lags
-        errors = 2 * _U * (vs[-1] * ws[-1] + vs[0] * ws[0]) \
-            + 4 * _U * np.abs(halves).dot(sizes * np.array(ws)) / lags \
-            + (_SIN_ERR + 5 * _U) * edge \
-            + 2 * squares.dot((2 * _SIN_ERR + (len(ws) + 9) * _U) * sizes + 3 * _U * joined) \
-            / (lags * lags)
-        return 5 * _U * k0, errors
-
-    return k0, values, bounds
+    # slopes carry 3 roundings each, so a jump is known to 3u times the
+    # slopes it joins; every other rounding scales with the jump itself
+    sizes = np.abs(jumps)
+    joined = np.array([abs(a) + abs(b) for a, b in zip(slopes, slopes[1:])])
+    edge = (vs[-1] * np.abs(edges[:, 1]) + vs[0] * np.abs(edges[:, 0])) / lags
+    errors = 2 * _U * (vs[-1] * ws[-1] + vs[0] * ws[0]) \
+        + 4 * _U * np.abs(halves).dot(sizes * np.array(ws)) / lags \
+        + (_SIN_ERR + 5 * _U) * edge \
+        + 2 * squares.dot((2 * _SIN_ERR + (len(ws) + 9) * _U) * sizes + 3 * _U * joined) \
+        / (lags * lags)
+    return k0, values, 5 * _U * k0, errors
 
 
 def decay_factor(seq: PulseSequence, density: SpectralDensity, abs_tol: float = 1e-10) -> float:
@@ -276,9 +270,8 @@ def decay_factor(seq: PulseSequence, density: SpectralDensity, abs_tol: float = 
     weights = 2 * coeffs[j] * coeffs[k]
     diag = float(coeffs @ coeffs)
     times = np.array(seq.times)
-    k0, values, bounds = _kernel(density, times[k] - times[j])
+    k0, values, e0, errors = _kernel(density, times[k] - times[j])
     value = density.amplitude * math.fsum([diag * k0, *(weights * values).tolist()])
-    e0, errors = bounds()
     bound = density.amplitude * (diag * (e0 + _U * k0) + float(np.abs(weights) @ errors)) \
         + 2 * _U * abs(value)
     if not math.isfinite(bound):

@@ -419,17 +419,17 @@ def sup_norm(g: ExpSum, interval: Interval, grid_points: Optional[int] = None) -
         first = terms * rotations
         return complex(terms.sum()), complex(first.sum()), complex((first * rotations).sum())
 
-    # local maxima (plateau-tolerant), ranked by value
+    # the three best of the local maxima (plateau-tolerant) and the two ends;
+    # equal values keep that order
     interior = (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-    candidates = [i + 1 for i in np.flatnonzero(interior)]
-    candidates += [0, grid_points - 1]
-    candidates.sort(key=lambda i: vals[i], reverse=True)
+    candidates = np.concatenate((np.flatnonzero(interior) + 1, (0, grid_points - 1)))
+    candidates = candidates[np.argsort(-vals[candidates], kind="stable")[:3]].tolist()
 
     h = (interval.right - interval.left) / (grid_points - 1)
     tol = max(h * 1e-10, abs(interval.right) * 1e-15, 1e-300)
     best_value = float(vals.max())
     best_arg = float(ts[int(np.argmax(vals))])
-    for i in candidates[:3]:
+    for i in candidates:
         lo = ts[max(i - 1, 0)]
         hi = ts[min(i + 1, grid_points - 1)]
         if hi <= lo:

@@ -65,13 +65,20 @@ def test_verify_multiplicity_n2(capsys):
 
 def test_verify_multiplicity_json_n10(capsys):
     code, out, _ = run(
-        capsys, "verify-multiplicity", "--n", "10", "--digits", "50",
+        capsys, "verify-multiplicity", "--n", "10",
         "--format", "json",
     )
     assert code == 0
     doc = json.loads(out)
     assert doc["order"] == 11 and doc["expected"] == 11
     assert all(r["relative"] <= 1e-12 for r in doc["residuals"][:11])
+
+
+def test_verify_multiplicity_has_no_digits_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-multiplicity", "--n", "10", "--digits", "50"])
+    assert exc.value.code == 2
+    assert "--digits" in capsys.readouterr().err
 
 
 def test_verify_multiplicity_rejects_odd(capsys):
@@ -269,6 +276,18 @@ def test_filter_rows_match_scalar_filter_function(capsys):
         assert magnitude == _f17(abs(filter_function(seq, float(w))))
 
 
+def test_filter_json_rows_equal_csv_rows(capsys):
+    argv = ["filter", "--n", "4", "--T", "1", "--omega-max", "20", "--points", "8"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    _, csv_out, _ = run(capsys, *argv)
+    lines = csv_out.splitlines()
+    assert lines[0] == "omega,abs"
+    assert doc == [{"omega": float(w), "abs": float(v)}
+                   for w, v in (line.split(",") for line in lines[1:])]
+
+
 def test_filter_requires_a_sequence(capsys):
     code, _, _ = run(capsys, "filter", "--omega-max", "1")
     assert code == 2
@@ -344,3 +363,23 @@ def test_readme_cli_examples_run(line, capsys, tmp_path, monkeypatch):
     (tmp_path / "dens.json").write_text(
         json.dumps({"kind": "hard-cutoff-flat", "amplitude": 1.0, "cutoff": 1.0}))
     assert main(shlex.split(line)[1:]) == 0, capsys.readouterr().err
+
+
+def test_readme_file_format_sequence_runs_chi(capsys, tmp_path, monkeypatch):
+    """The README's chi example on the pulse sequence of its "File formats"
+    section and a flat density; chi prints one number in either format."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    formats = readme.split("\n### File formats\n", 1)[1]
+    sequence = formats.split("Pulse sequence", 1)[1].split("`")[5]
+    assert json.loads(sequence)["times"][0] == 0.0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seq.json").write_text(sequence)
+    (tmp_path / "dens.json").write_text(
+        json.dumps({"kind": "hard-cutoff-flat", "amplitude": 1.0, "cutoff": 1.0}))
+    [line] = [line for line in readme_cli_lines() if line.startswith("expsums chi ")]
+    outs = []
+    for fmt in ("csv", "json"):
+        code, out, err = run(capsys, *shlex.split(line)[1:], "--format", fmt)
+        assert code == 0, err
+        outs.append(out)
+    assert outs[0] == outs[1] and math.isfinite(float(outs[0]))
