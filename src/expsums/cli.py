@@ -33,7 +33,7 @@ import numpy as np
 
 from . import bounds, dephasing, sequences
 from .errors import InvalidInputError, PrecisionError, QuadratureError
-from .expsum import Interval, _f17, _first_order, derivative_magnitudes
+from .expsum import Interval, _f17, _uhrig_moments, vanishing_order
 from .sequences import scaled_sum, uhrig_sum
 
 EXIT_OK = 0
@@ -45,8 +45,11 @@ EXIT_NUMERIC = 3
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         Path(out).write_text(text)
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _write(args, header: tuple[str, ...], rows: list, doc=None) -> None:
@@ -94,13 +97,12 @@ def cmd_uhrig(args) -> int:
 
 
 def cmd_verify_multiplicity(args) -> int:
-    g = uhrig_sum(args.n)
+    order = vanishing_order(uhrig_sum(args.n), rel_tol=args.tol)
     expected = args.n + 1
-    cap = 2 * len(g) + 8
-    pairs = derivative_magnitudes(g, 0.0, cap)
-    order = _first_order(pairs, args.tol)
-    shown = pairs[: (order if order is not None else cap) + 1]
-    rows = [(m, v, b, v / b if b else 0.0) for m, (v, b) in enumerate(shown)]
+    rows = []
+    for m in range(order + 1):  # |g^(m)(0)| = |mu_m| and its bound S_m, exact
+        mu, s = _uhrig_moments(args.n, m)
+        rows.append((m, abs(mu) / 4**m, s / 4**m, abs(mu) / s))
     _write(args, ("m", "value", "bound", "relative"), rows, lambda records: {
         "n": args.n, "rel_tol": args.tol, "order": order, "expected": expected,
         "residuals": records,

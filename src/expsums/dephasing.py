@@ -45,7 +45,7 @@ import numpy as np
 from mpmath import mp
 
 from .errors import InvalidInputError, PrecisionError, _count
-from .expsum import ExpSum, _f17, _on_one_scale, vanishing_order
+from .expsum import ExpSum, _built_as, _f17, _on_one_scale, vanishing_order
 from .sequences import PulseSequence, _coefficients, _sin2
 
 __all__ = [
@@ -84,8 +84,10 @@ def filter_function(seq: PulseSequence, omega):
 
 def filter_expsum(seq: PulseSequence) -> ExpSum:
     """The filter function as an exponential sum in omega: exponents t_j and
-    the coefficients (1, -2, +2, ..., -(-1)^n)."""
-    return ExpSum(coefficients=_coefficients(seq.n_pulses), exponents=seq.times)
+    the coefficients (1, -2, +2, ..., -(-1)^n).  It keeps the provenance of a
+    :func:`~expsums.sequences.uhrig_pulse_times` sequence."""
+    g = ExpSum(coefficients=_coefficients(seq.n_pulses), exponents=seq.times)
+    return g if seq._uhrig is None else _built_as(g, *seq._uhrig)
 
 
 def vanishing_order_filter(seq: PulseSequence, rel_tol: float = 1e-12) -> Optional[int]:
@@ -93,7 +95,9 @@ def vanishing_order_filter(seq: PulseSequence, rel_tol: float = 1e-12) -> Option
 
     Reported as the raw derivative order of the exponential-sum form: a
     sequence whose filter starts at omega^(m+1) suppresses the leading m
-    orders of the decay integrand.
+    orders of the decay integrand.  For a sequence from
+    :func:`~expsums.sequences.uhrig_pulse_times` it is the order of the
+    exact construction, n + 1 (see :func:`~expsums.expsum.vanishing_order`).
     """
     return vanishing_order(filter_expsum(seq), 0.0, rel_tol=rel_tol)
 

@@ -7,6 +7,9 @@ or arbitrary precision via mpmath), termwise differentiation, the uniform
 derivative bound sum_j |a_j|*|lambda_j|^m, vanishing-order detection at a
 point (in integer arithmetic, exact at t = 0), sup-norms over an interval by
 a grid scan refined with Newton steps, and adaptive L1 norms.
+The sums built in :mod:`expsums.sequences` record their order and scale, so
+their vanishing order at t = 0 is read from the exact moments of the
+construction (:func:`_uhrig_moments`) instead of the rounded exponents.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
-from typing import IO, Iterable, NamedTuple, Optional
+from dataclasses import dataclass, field
+from typing import IO, NamedTuple, Optional
 
 import mpmath
 import numpy as np
@@ -51,6 +54,11 @@ class ExpSum:
 
     coefficients: tuple[complex, ...]
     exponents: tuple[complex, ...]
+    # (n, scale) for the order-n Uhrig sum with exponents times ``scale``, set
+    # by its builders alone (see _built_as): no derived sum, JSON round trip
+    # or dataclasses.replace carries it
+    _uhrig: Optional[tuple[int, float]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         # lists: tuple(iterator) resizes, and fills CPython's free lists (~5 MB)
@@ -283,6 +291,35 @@ def derivative_magnitudes(
     return list(_magnitudes_up_to(g, t0, max_order, dps))
 
 
+def _built_as(x, n: int, scale: float):
+    """``x``, an ExpSum or PulseSequence, marked as the order-n sin^2
+    construction with exponents or times scaled by ``scale``."""
+    object.__setattr__(x, "_uhrig", (n, scale))
+    return x
+
+
+def _uhrig_moments(n: int, m: int) -> tuple[int, int]:
+    """4^m*mu_m and 4^m*S_m as exact integers, mu_m = sum_j a_j*lambda_j^m and
+    S_m = sum_j |a_j|*lambda_j^m, for the order-n Uhrig sum: exponents 0,
+    d_1..d_n, 1 with d_k = sin^2(k*pi/(2N)), N = n + 1, and coefficients
+    1, -2, +2, ..., -(-1)^n (Uhrig, PRL 98, 100504, 2007).
+
+    Expanding d_k^m = sin^(2m) into cosines of multiples of k*pi/N turns the
+    sums over k into geometric sums over a period, which vanish except at
+    multiples of N; with C(2m, m - j) = C(2m, m + j) this leaves, i = 0..2m,
+
+        4^m*mu_m = (-1)^N * 2N * sum of C(2m, i) over i = m + N (mod 2N),
+        4^m*S_m  =          2N * sum of C(2m, i) over i = m     (mod 2N).
+
+    So mu_m = 0 for m = 0..n and mu_{n+1} = (-1)^N * N / 4^n: the zero of
+    order n + 1 at t = 0.  No rounding enters, however small mu_m is.
+    """
+    period = 2 * (n + 1)
+    mu = sum(math.comb(2 * m, i) for i in range((m + n + 1) % period, 2 * m + 1, period))
+    s = sum(math.comb(2 * m, i) for i in range(m % period, 2 * m + 1, period))
+    return (-1) ** (n + 1) * period * mu, period * s
+
+
 def vanishing_order(
     g: ExpSum,
     t0: float = 0.0,
@@ -290,27 +327,33 @@ def vanishing_order(
     dps: Optional[int] = None,
     m_max: Optional[int] = None,
 ) -> Optional[int]:
-    """Smallest m with |g^(m)(t0)| > rel_tol * sum_j |a_j|*|lambda_j|^m.
+    """Smallest m at which g^(m)(t0) is nonzero, or ``None`` if there is none
+    up to ``m_max`` (default 2*len(g) + 8).
 
-    The relative normalization makes the answer invariant under exponent
-    scaling; the magnitudes are those of :func:`derivative_magnitudes`, exact
-    at t0 = 0.  Returns ``None`` if no order below ``m_max`` (default
-    2*len(g) + 8) exceeds the threshold.  Raises :class:`PrecisionError` if a
-    zero sup bound coexists with a nonzero computed value, which can only be
-    a precision artifact.
+    A sum that records its construction (``uhrig_sum``, ``scaled_sum``,
+    ``unit_gap_sum``, ``filter_expsum`` of ``uhrig_pulse_times``) is judged
+    at t0 = 0 as that exact construction: the first m with mu_m != 0 in the
+    exact integers of :func:`_uhrig_moments`, which is n + 1.  No threshold
+    enters, so ``rel_tol`` (still validated) and ``dps`` play no part; past
+    n = 20 the rounding of the stored exponents alone outweighs the true
+    |g^(n+1)(0)|.  :func:`derivative` and a JSON round trip drop the record.
+
+    Any other sum, and any t0 != 0, is judged on its stored numbers: the
+    smallest m with |g^(m)(t0)| > rel_tol * sum_j |a_j|*|lambda_j|^m, a test
+    invariant under exponent scaling, on the magnitudes of
+    :func:`derivative_magnitudes` (exact at t0 = 0).  Raises
+    :class:`PrecisionError` if a zero sup bound coexists with a nonzero
+    computed value, which can only be a precision artifact.  ``rel_tol``
+    must lie in (0, 1e-3).
     """
-    if m_max is None:
-        m_max = 2 * len(g) + 8
-    return _first_order(_magnitudes_up_to(g, t0, m_max, dps), rel_tol)
-
-
-def _first_order(pairs: Iterable[tuple[float, float]], rel_tol: float) -> Optional[int]:
-    """The first m whose (|g^(m)|, bound) pair has |g^(m)| > rel_tol * bound,
-    or ``None``; ``rel_tol`` must lie in (0, 1e-3).  Checks ``rel_tol``
-    before drawing a pair and draws none past the answer."""
     if not 0 < rel_tol < 1e-3:
         raise InvalidInputError(f"rel_tol must lie in (0, 1e-3), got {rel_tol}")
-    for m, (value, bound) in enumerate(pairs):
+    if m_max is None:
+        m_max = 2 * len(g) + 8
+    if g._uhrig is not None and t0 == 0:
+        n = g._uhrig[0]
+        return next((m for m in range(m_max + 1) if _uhrig_moments(n, m)[0]), None)
+    for m, (value, bound) in enumerate(_magnitudes_up_to(g, t0, m_max, dps)):
         if bound == 0.0:
             if value > 0.0:
                 raise PrecisionError(
@@ -411,8 +454,8 @@ def sup_norm(g: ExpSum, interval: Interval, grid_points: Optional[int] = None) -
     ts = np.linspace(interval.left, interval.right, grid_points)
     vals = np.abs(_values_on_grid(g, ts))
 
-    coefficients = np.array(g.coefficients)
-    rotations = 1j * _real_exponents(g)
+    coefficients, lam = np.array(g.coefficients), _real_exponents(g)
+    rotations = 1j * lam
 
     def f(t: float) -> tuple[complex, complex, complex]:
         terms = coefficients * np.exp(rotations * t)
@@ -440,7 +483,9 @@ def sup_norm(g: ExpSum, interval: Interval, grid_points: Optional[int] = None) -
         value = abs(evaluate(g, arg))
         if value > best_value:
             best_value, best_arg = value, arg
-    slack = h * derivative_sup_bound(g, 1)
+    # h * derivative_sup_bound(g, 1), bit for bit: where the fsum overflows,
+    # |g'|^2 in _slope has overflowed first
+    slack = h * math.fsum([abs(a) * abs(x) for a, x in zip(g.coefficients, lam.tolist())])
     return SupNormResult(value=best_value, argmax=best_arg, slack=slack)
 
 

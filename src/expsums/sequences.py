@@ -17,15 +17,19 @@ to the same effect.
 
 Every builder here and in :mod:`expsums.dephasing` takes the fractions from
 ``_sin2`` (floats, or mpf at any precision) and the coefficients from
-``_coefficients``.  :class:`PulseSequence` lives here, so ``dephasing``
-imports this module and never the other way round.
+``_coefficients``.  The sums and ``uhrig_pulse_times`` record (n, scale), so
+``vanishing_order`` can use the exact moments of the construction
+(``expsum._uhrig_moments``, dyadic rationals in closed form) instead of the
+rounded fractions, as ``alternating_power_sum`` does.  :class:`PulseSequence`
+lives here, so ``dephasing`` imports this module and never the other way
+round.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -33,7 +37,7 @@ import mpmath
 from mpmath import mp
 
 from .errors import InvalidInputError, _count
-from .expsum import ExpSum
+from .expsum import ExpSum, _built_as, _uhrig_moments
 
 __all__ = [
     "PulseSequence",
@@ -83,6 +87,9 @@ class PulseSequence:
     """Strictly increasing time grid with t_0 = 0 and t_{n+1} = T exactly."""
 
     times: tuple[float, ...]
+    # (n, T) for the sin^2 timings of uhrig_pulse_times: see ExpSum._uhrig
+    _uhrig: Optional[tuple[int, float]] = field(
+        default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         times = tuple([float(t) for t in self.times])  # a list: see ExpSum
@@ -116,25 +123,32 @@ class PulseSequence:
 
 
 def alternating_power_sum(n: int, m: int, dps: int = 50) -> mpmath.mpf:
-    """sum_{k=1..n} (-1)^k d_k^m evaluated at ``dps`` significant digits.
+    """sum_{k=1..n} (-1)^k d_k^m, correctly rounded to ``dps`` significant digits.
 
-    Recomputes the fractions from scratch at working precision; equals 1/2
-    exactly for m = 1..n (and 0 for m = 0) when n is even.  The interior
-    coefficients are 2*(-1)^k, so the sum is half their weighted sum.
+    The interior coefficients of :func:`uhrig_sum` are 2*(-1)^k and its end
+    coefficients 1 and -1, so for m >= 1 the sum is (mu_m + 1)/2, mu_m being
+    the sum's m-th moment, an exact dyadic rational in closed form (see
+    ``expsum._uhrig_moments``); for m = 0 it is 0.  It equals 1/2 exactly
+    for m = 1..n, n being even.
     """
     _require_even_positive(n)
     if _count(m, "power") < 0:
         raise InvalidInputError(f"power must be nonnegative, got {m}")
-    d = _sin2(n, dps)
+    if dps < 1:
+        raise InvalidInputError(f"dps must be >= 1, got {dps}")
+    if m == 0:
+        return mpmath.mpf(0)
+    mu, _ = _uhrig_moments(n, m)  # over 4^m
     with mp.workdps(dps):
-        return mpmath.fsum(c * x ** m for c, x in zip(_coefficients(n)[1:-1], d)) / 2
+        return mpmath.ldexp(mpmath.mpf(mu + 4**m), -2 * m - 1)
 
 
 def uhrig_sum(n: int) -> ExpSum:
     """The sum with exponents (0, d_1, ..., d_n, 1) and coefficients
     (1, -2, +2, ..., -1); vanishes to order n+1 at t = 0 for even n."""
     _require_even_positive(n)
-    return ExpSum(coefficients=_coefficients(n), exponents=(0.0, *_sin2(n), 1.0))
+    g = ExpSum(coefficients=_coefficients(n), exponents=(0.0, *_sin2(n), 1.0))
+    return _built_as(g, n, 1.0)
 
 
 def scaled_sum_order(b: float) -> int:
@@ -164,7 +178,7 @@ def scaled_sum(b: float) -> ExpSum:
     n = scaled_sum_order(b)
     scale = 9.0 / (b * b)
     exps = tuple(scale * x for x in (0.0, *_sin2(n), 1.0))
-    return ExpSum(coefficients=_coefficients(n), exponents=exps)
+    return _built_as(ExpSum(coefficients=_coefficients(n), exponents=exps), n, scale)
 
 
 def rescaled_timings(n: int) -> tuple[float, ...]:
@@ -180,7 +194,7 @@ def unit_gap_sum(n: int) -> ExpSum:
     _require_even_positive(n)
     d = _sin2(n)
     exps = (0.0, *(x / d[0] for x in d), 1.0 / d[0])
-    return ExpSum(coefficients=_coefficients(n), exponents=exps)
+    return _built_as(ExpSum(coefficients=_coefficients(n), exponents=exps), n, 1.0 / d[0])
 
 
 def uhrig_pulse_times(n: int, total_time: float) -> PulseSequence:
@@ -194,7 +208,8 @@ def uhrig_pulse_times(n: int, total_time: float) -> PulseSequence:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     if not total_time > 0:
         raise InvalidInputError(f"total time must be positive, got {total_time}")
-    return PulseSequence.from_pulses([total_time * d for d in _sin2(n)], total_time)
+    seq = PulseSequence.from_pulses([total_time * d for d in _sin2(n)], total_time)
+    return _built_as(seq, n, seq.total_time)
 
 
 @dataclass(frozen=True)

@@ -93,7 +93,6 @@ def test_verify_multiplicity_rejects_bad_tolerance(capsys, tol):
     assert out == "" and "rel_tol" in err
 
 
-@pytest.mark.xfail(strict=True, reason="verify-multiplicity --n 24 reports order=27")
 def test_verify_multiplicity_n24_reports_no_wrong_order(capsys):
     code, _, err = run(capsys, "verify-multiplicity", "--n", "24")
     # the right order (exit 0) or a precision error (exit 3), never a wrong order
@@ -383,3 +382,29 @@ def test_readme_file_format_sequence_runs_chi(capsys, tmp_path, monkeypatch):
         assert code == 0, err
         outs.append(out)
     assert outs[0] == outs[1] and math.isfinite(float(outs[0]))
+
+
+@pytest.mark.parametrize("n", [22, 30, 40])
+def test_verify_multiplicity_rows_are_exact(capsys, n):
+    code, out, err = run(capsys, "verify-multiplicity", "--n", str(n))
+    assert code == 0 and f"order={n + 1} expected={n + 1}" in err
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(n + 2))
+    assert all(float(r[1]) == 0.0 for r in rows[:n + 1])
+    assert float(rows[n + 1][1]) == (n + 1) / 4.0**n  # |mu_(n+1)|
+
+
+def test_out_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, "uhrig", "--n", "2", "--T", "1", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write") and str(target) in err
+
+
+def test_bounds_scan_fit_to_an_unwritable_path_is_a_usage_error(capsys, tmp_path):
+    out_path = tmp_path / "scan.csv"
+    (tmp_path / "scan.csv.fit.json").mkdir()  # a directory cannot be written as a file
+    code, _, err = run(capsys, "bounds-scan", "--family", "taylor",
+                       "--a-grid", f"{1/9}", "--out", str(out_path))
+    assert code == 2
+    assert err.startswith("error: cannot write") and "scan.csv.fit.json" in err

@@ -612,3 +612,20 @@ def test_density_json_invalid():
         load_spectral_density({"kind": "nope"})
     with pytest.raises(InvalidInputError):
         load_spectral_density({"amplitude": 1.0})
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_filter_order_uhrig_up_to_40(n):
+    for total_time in (1.0, 0.37, 3):
+        seq = uhrig_pulse_times(n, total_time)
+        assert filter_expsum(seq)._uhrig == (n, float(total_time))
+        assert vanishing_order_filter(seq) == n + 1
+
+
+def test_loaded_sequence_has_no_provenance(tmp_path):
+    seq = uhrig_pulse_times(6, 2.0)
+    path = tmp_path / "seq.json"
+    path.write_text(sequence_to_json(seq))
+    loaded = load_pulse_sequence(str(path))
+    assert loaded == seq and loaded._uhrig is None
+    assert filter_expsum(loaded)._uhrig is None

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,10 +6,12 @@ import mpmath
 import pytest
 
 from expsums import (
+    ExpSum,
     InvalidInputError,
     cheb_nodes,
     cheb_u,
     alternating_power_sum,
+    derivative,
     evaluate,
     filter_expsum,
     from_json,
@@ -21,7 +24,9 @@ from expsums import (
     uhrig_pulse_times,
     uhrig_sum,
     unit_gap_sum,
+    vanishing_order,
 )
+from expsums.expsum import _uhrig_moments
 
 
 def fractions(n):
@@ -286,3 +291,99 @@ def test_order_arguments_must_be_integers(function, args):
     # integral floats too: range() and the power sum need a true int
     with pytest.raises(InvalidInputError, match="must be an integer"):
         function(*args)
+
+
+# ---------------------------------------------------------------------------
+# exact moments of the sin^2 family, and the provenance that selects them
+
+def exact_construction(n):
+    """Coefficients and 120-digit exponents 0, sin^2(k*pi/(2n+2)), 1."""
+    with mpmath.workdps(120):
+        d = [mpmath.sin(k * mpmath.pi / (2 * n + 2)) ** 2 for k in range(1, n + 1)]
+    return [1, *(2 * (-1) ** k for k in range(1, n + 1)), -((-1) ** n)], [0, *d, 1]
+
+
+@pytest.mark.parametrize("n", range(25))
+def test_uhrig_moments_match_mpmath(n):
+    coefficients, exponents = exact_construction(n)
+    with mpmath.workdps(120):
+        for m in range(3 * n + 4):
+            mu, s = _uhrig_moments(n, m)
+            powers = [x ** m for x in exponents]
+            want_mu = mpmath.fsum(c * p for c, p in zip(coefficients, powers))
+            want_s = mpmath.fsum(abs(c) * p for c, p in zip(coefficients, powers))
+            assert abs(mpmath.ldexp(mu, -2 * m) - want_mu) <= mpmath.mpf(10) ** -110 * want_s
+            assert abs(mpmath.ldexp(s, -2 * m) - want_s) <= mpmath.mpf(10) ** -110 * want_s
+            assert (mu != 0) == (m >= n + 1)
+
+
+@pytest.mark.parametrize("b", [1.5, 2.0, 3.0])
+def test_scaled_sum_of_order_zero(b):
+    # b in (1, 3]: exponents (0, 9/b^2), the n = 0 case of the closed form
+    g = scaled_sum(b)
+    assert len(g) == 2 and g._uhrig == (0, 9.0 / (b * b))
+    assert vanishing_order(g) == 1
+
+
+def test_first_nonzero_moment():
+    for n in range(0, 60):
+        assert _uhrig_moments(n, n + 1)[0] == (-1) ** (n + 1) * 4 * (n + 1)
+
+
+@pytest.mark.parametrize("n", [2, 4, 10])
+def test_alternating_power_sum_is_exact(n):
+    coefficients, exponents = exact_construction(n)
+    for m in range(3 * n + 4):
+        with mpmath.workdps(120):
+            want = mpmath.fsum(c * x ** m for c, x in zip(coefficients[1:-1], exponents[1:-1])) / 2
+        assert abs(alternating_power_sum(n, m, dps=110) - want) < mpmath.mpf(10) ** -105
+    assert alternating_power_sum(n, 0) == 0
+
+
+def test_alternating_power_sum_rounds_to_dps():
+    # (mu_40 + 1)/2 for n = 4 has 62 significant bits; 5 digits keep 20
+    exact = mpmath.mpf(_uhrig_moments(4, 40)[0] + 4**40)
+    with mpmath.workdps(5):
+        assert alternating_power_sum(4, 40, dps=5) == mpmath.ldexp(+exact, -81)
+    assert alternating_power_sum(4, 40, dps=5) != alternating_power_sum(4, 40, dps=30)
+
+
+def built_sums(n):
+    return uhrig_sum(n), scaled_sum(3.0 / (n + 1)), unit_gap_sum(n)
+
+
+@pytest.mark.parametrize("n", [*range(2, 41, 2), 400])
+def test_vanishing_order_of_the_builders(n):
+    for g in built_sums(n):
+        assert g._uhrig[0] == n
+        assert vanishing_order(g) == n + 1
+
+
+def test_builders_record_their_scale():
+    g, scaled, unit_gap = built_sums(4)
+    assert g._uhrig == (4, 1.0)
+    assert scaled._uhrig == (4, 9.0 / 0.6**2) and scaled.exponents[-1] == scaled._uhrig[1]
+    assert unit_gap._uhrig == (4, unit_gap.exponents[-1].real)
+    assert uhrig_pulse_times(3, 2)._uhrig == (3, 2.0)
+
+
+def test_provenance_is_not_part_of_the_value():
+    g = uhrig_sum(4)
+    plain = ExpSum(coefficients=g.coefficients, exponents=g.exponents)
+    assert plain._uhrig is None
+    with pytest.raises(TypeError):
+        ExpSum(coefficients=g.coefficients, exponents=g.exponents, _uhrig=(4, 1.0))
+    assert g == plain and hash(g) == hash(plain) and repr(g) == repr(plain)
+    assert "_uhrig" not in repr(uhrig_pulse_times(4, 1.0))
+    assert from_json(to_json(g))._uhrig is None
+    assert derivative(g, 1)._uhrig is None
+    assert derivative(g, 0)._uhrig == g._uhrig  # the sum itself
+    assert dataclasses.replace(g, coefficients=(1.0,) * len(g))._uhrig is None
+    assert vanishing_order(dataclasses.replace(g, coefficients=(1.0,) * len(g))) == 0
+
+
+def test_vanishing_order_provenance_route_checks_rel_tol():
+    with pytest.raises(InvalidInputError):
+        vanishing_order(uhrig_sum(4), rel_tol=0.5)
+    assert vanishing_order(uhrig_sum(4), m_max=4) is None
+    assert vanishing_order(uhrig_sum(4), m_max=5) == 5
