@@ -10,11 +10,12 @@ and the residual dephasing under an environment with spectral density
 Lambda(omega) is chi = integral_0^inf Lambda(omega)*|f(omega)|^2 domega.
 
 Collecting terms, f is itself an exponential sum in omega with exponents t_j
-and coefficients (1, -2, +2, ..., -(-1)^n); :func:`filter_expsum` builds that
-form so the generic machinery (vanishing order, etc.) applies.  The telescoped
-summation in :func:`filter_function` is kept independent so the two routes
-can be checked against each other.  The sequence type, the sin^2 timings and
-the coefficients come from :mod:`expsums.sequences`.
+and coefficients c = (1, -2, +2, ..., -(-1)^n), with a zero of order n + 1 at
+omega = 0 for the sin^2 timings; :func:`filter_expsum` builds that form so the
+generic machinery (vanishing order, etc.) applies, and :func:`filter_function`
+sums its terms.  ``evaluate(filter_expsum(seq), omega)`` checks it
+independently.  The sequence type, the sin^2 timings and the coefficients come
+from :mod:`expsums.sequences`.
 
 The same form makes chi exact and finite (the filter-function formalism of
 Cywinski, Lutchyn, Nave and Das Sarma, PRB 77, 174509, 2008): with
@@ -66,18 +67,22 @@ TABULATED = "tabulated"
 
 
 def filter_function(seq: PulseSequence, omega):
-    """The alternating telescoped sum of exp(i*t_j*omega) differences: a
-    complex for a scalar omega, a complex array for an array of them."""
+    """f(omega) = sum_j c_j*exp(i*t_j*omega), the terms of :func:`filter_expsum`:
+    a complex for a scalar omega, a complex array for an array of them.
+
+    One cos and one sin per time, added term by term over the omega array, so
+    an array result equals the scalar calls element by element.  Each value
+    is within about eps*sum|c_j|*(1 + |omega|*T) of f at the stored times.
+    """
     w = np.asarray(omega, dtype=float)
     nonfinite = w[~np.isfinite(w)]
     if nonfinite.size:
         raise InvalidInputError(f"omega must be finite, got {nonfinite[0]}")
-    t = seq.times
     re, im = np.zeros(w.shape), np.zeros(w.shape)
-    for j in range(len(t) - 1):
-        sign = (-1) ** j
-        re = re + sign * (np.cos(t[j] * w) - np.cos(t[j + 1] * w))
-        im = im + sign * (np.sin(t[j] * w) - np.sin(t[j + 1] * w))
+    for c, t in zip(_coefficients(seq.n_pulses), seq.times):
+        phase = t * w
+        re += c * np.cos(phase)
+        im += c * np.sin(phase)
     total = re + 1j * im
     return complex(total) if np.isscalar(omega) else total
 
@@ -110,6 +115,11 @@ def uhrig_filter_magnitude(n: int, total_time: float, omega: float, dps: int = 5
     (their rounding alone perturbs the sum at relative 1e-16 of the term
     size).  Recomputing the timings at working precision keeps the tiny true
     value, so log-log slope measurements stay clean.
+
+    The absolute error, before the final rounding to a double, is at most
+    E = (2n + 2)*(1 + |omega|*T)*10^-dps: each of the 2n + 2 units of
+    sum|c_j| carries the working-precision rounding of its time and phase.
+    A magnitude at or below E is roundoff, and raises :class:`PrecisionError`.
     """
     if _count(n, "n") < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
@@ -122,11 +132,14 @@ def uhrig_filter_magnitude(n: int, total_time: float, omega: float, dps: int = 5
         T = mpmath.mpf(total_time)
         w = mpmath.mpf(omega)
         times = [mpmath.mpf(0), *(T * x for x in d), T]
-        value = mpmath.fsum(
+        value = abs(mpmath.fsum(
             (c * mpmath.exp(1j * t * w) for c, t in zip(_coefficients(n), times)),
             absolute=False,
-        )
-        return float(abs(value))
+        ))
+        factor = (2 * n + 2) * (1 + abs(omega * total_time))
+        if value * 10**dps <= factor:  # |f| <= E, with no 10^-dps to underflow
+            raise PrecisionError(f"|f| <= its error bound {factor:.3g}*10^-{dps}; raise dps")
+        return float(value)
 
 
 @dataclass(frozen=True)
@@ -150,8 +163,11 @@ class SpectralDensity:
         try:  # an int beyond the double range would pass the checks below
             object.__setattr__(self, "amplitude", float(self.amplitude))
             object.__setattr__(self, "cutoff", None if self.cutoff is None else float(self.cutoff))
+            if self.table is not None:
+                pairs = tuple((float(w), float(v)) for w, v in self.table)
+                object.__setattr__(self, "table", pairs)
         except (OverflowError, TypeError, ValueError) as exc:
-            raise InvalidInputError(f"amplitude and cutoff must be doubles: {exc}") from None
+            raise InvalidInputError(f"malformed amplitude, cutoff or table: {exc}") from None
         if not 0 <= self.amplitude < math.inf:
             raise InvalidInputError(f"amplitude must be finite and >= 0, got {self.amplitude}")
         if self.kind in (FLAT, OHMIC):
@@ -160,16 +176,14 @@ class SpectralDensity:
         if self.kind == TABULATED:
             if not self.table:
                 raise InvalidInputError("tabulated density needs a nonempty table")
-            table = tuple((float(w), float(v)) for w, v in self.table)
-            object.__setattr__(self, "table", table)
-            if not all(math.isfinite(w) and math.isfinite(v) for w, v in table):
+            if not all(math.isfinite(w) and math.isfinite(v) for w, v in self.table):
                 raise InvalidInputError("table entries must be finite")
-            ws = [w for w, _ in table]
+            ws = [w for w, _ in self.table]
             if any(b <= a for a, b in zip(ws, ws[1:])):
                 raise InvalidInputError("table frequencies must be strictly increasing")
             if ws[0] < 0:
                 raise InvalidInputError("table frequencies must be nonnegative")
-            if any(v < 0 for _, v in table):
+            if any(v < 0 for _, v in self.table):
                 raise InvalidInputError("table values must be nonnegative")
 
     def __call__(self, omega):
@@ -183,7 +197,6 @@ class SpectralDensity:
             ws = np.array([p[0] for p in self.table])
             vs = np.array([p[1] for p in self.table])
             out = self.amplitude * np.interp(w, ws, vs, left=0.0, right=0.0)
-            out = np.where((w < ws[0]) | (w > ws[-1]), 0.0, out)
         return float(out) if np.isscalar(omega) else out
 
 
@@ -431,16 +444,7 @@ def load_pulse_sequence(source: Union[str, Path, dict]) -> PulseSequence:
 def load_spectral_density(source: Union[str, Path, dict]) -> SpectralDensity:
     """Load ``{"kind": ..., "amplitude": ..., "cutoff": ..., "table": ...}``."""
     obj = _load_json(source)
-    try:
-        kind = obj["kind"]
-        amplitude = float(obj.get("amplitude", 1.0))
-        cutoff = obj.get("cutoff")
-        table = obj.get("table")
-    except (TypeError, ValueError, KeyError) as exc:
-        raise InvalidInputError(f"malformed spectral-density JSON: {exc}") from exc
-    return SpectralDensity(
-        kind=kind,
-        amplitude=amplitude,
-        cutoff=None if cutoff is None else float(cutoff),
-        table=None if table is None else tuple((float(w), float(v)) for w, v in table),
-    )
+    if "kind" not in obj:
+        raise InvalidInputError("malformed spectral-density JSON: missing 'kind'")
+    return SpectralDensity(kind=obj["kind"], amplitude=obj.get("amplitude", 1.0),
+                           cutoff=obj.get("cutoff"), table=obj.get("table"))

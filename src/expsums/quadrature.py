@@ -46,11 +46,6 @@ def _rules() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.concatenate([x_lo, x_hi]), w_lo, w_hi
 
 
-def __getattr__(name: str):
-    if name == "_NODES":  # the node array, built with the rules on first use
-        return _rules()[0]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 # Largest number of integrand points passed to one call of ``f``.
 _SLICE_POINTS = 65_536
 

@@ -199,6 +199,29 @@ def test_chi_rejects_nan_density(capsys, chi_files, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"kind": "tabulated", "table": [["a", 1]]}',
+        '{"kind": "tabulated", "table": [1, 2]}',
+        '{"kind": "tabulated", "table": 5}',
+        '{"kind": "tabulated", "table": [[1, 2, 3]]}',
+        '{"kind": "hard-cutoff-flat", "cutoff": "x"}',
+        '{"kind": "ohmic-exponential", "cutoff": [1]}',
+    ],
+    ids=["text-entry", "flat-table", "number-table", "triple", "text-cutoff", "list-cutoff"],
+)
+def test_chi_malformed_density_is_a_usage_error(capsys, chi_files, tmp_path, doc):
+    seq, _ = chi_files
+    dens = tmp_path / "bad.json"
+    dens.write_text(doc)
+    code, out, err = run(capsys, "chi", "--sequence", str(seq), "--density", str(dens))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # l1-scan
 

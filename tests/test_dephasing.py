@@ -23,6 +23,7 @@ from expsums import (
     vanishing_order_filter,
 )
 from expsums import dephasing
+from expsums.expsum import _uhrig_moments
 from expsums.quadrature import adaptive_gauss_legendre
 
 ECHO = PulseSequence(times=(0.0, 0.5, 1.0))
@@ -109,6 +110,22 @@ def test_filter_matches_expsum_route():
             assert abs(direct - via_sum) <= 1e-13 * max(1.0, abs(direct))
 
 
+def test_filter_within_rounding_bound_of_evaluate():
+    # the terms of filter_expsum, against evaluate's fsum of the same terms;
+    # over n <= 32 and |omega| <= 1e4 the worst case measured is 0.05 of the bound
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(5)
+    sequences = [FREE, ECHO, uhrig_pulse_times(8, 1.0), uhrig_pulse_times(20, 2.5)]
+    sequences.append(PulseSequence.from_pulses(np.sort(rng.uniform(0.0, 1.7, 7)), 1.7))
+    ws = np.concatenate([rng.uniform(-1e4, 1e4, 40), rng.uniform(-20.0, 20.0, 20), [1e4, -1e4]])
+    for seq in sequences:
+        g = filter_expsum(seq)
+        scale = sum(abs(c) for c in g.coefficients)
+        for w, value in zip(ws, filter_function(seq, ws)):
+            bound = eps * scale * (1 + abs(w) * seq.total_time)
+            assert abs(value - evaluate(g, w)) <= bound
+
+
 def test_filter_expsum_coefficient_pattern():
     g = filter_expsum(uhrig_pulse_times(4, 1.0))
     assert g.coefficients == (1, -2, 2, -2, 2, -1)
@@ -142,7 +159,8 @@ def test_filter_rejects_nonfinite_frequency():
 
 def test_filter_array_matches_scalar_calls():
     rng = np.random.default_rng(3)
-    sequences = [FREE, ECHO, uhrig_pulse_times(9, 2.0)]
+    sequences = [FREE, ECHO, uhrig_pulse_times(9, 2.0), uhrig_pulse_times(16, 1.0),
+                 uhrig_pulse_times(32, 0.7)]
     sequences.append(PulseSequence.from_pulses(np.sort(rng.uniform(0.0, 3.0, 6)), 3.0))
     ws = rng.uniform(-500.0, 500.0, 300)
     for seq in sequences:
@@ -150,6 +168,9 @@ def test_filter_array_matches_scalar_calls():
         assert values.shape == ws.shape
         assert isinstance(filter_function(seq, 1.5), complex)
         assert values.tolist() == [filter_function(seq, w) for w in ws]
+        grid = filter_function(seq, ws.reshape(12, 25))
+        assert grid.shape == (12, 25)
+        assert grid.ravel().tolist() == values.tolist()
     with pytest.raises(InvalidInputError):
         filter_function(FREE, np.array([0.0, math.nan]))
 
@@ -187,6 +208,26 @@ def test_uhrig_filter_magnitude_resolves_tiny_values():
     assert 0.0 < value < 1e-17
     ratio = uhrig_filter_magnitude(4, 1.0, 2e-3) / value
     assert ratio == pytest.approx(2.0 ** 5, rel=1e-3)
+
+
+@pytest.mark.parametrize("n", [12, 16, 20])
+def test_uhrig_filter_magnitude_raises_at_roundoff(n):
+    # at omega*T = 1e-3 these sit below (2n+2)*(1+|omega|*T)*10^-50
+    with pytest.raises(PrecisionError):
+        uhrig_filter_magnitude(n, 1.0, 1e-3, dps=50)
+
+
+def test_uhrig_filter_magnitude_matches_moment_series():
+    # f(omega) = sum_{m > n} mu_m*(i*omega*T)^m/m! with the exact moments
+    n, T, w = 20, 1.0, 1e-3
+    with mpmath.workdps(200):
+        x = mpmath.mpf(w) * T
+        oracle = abs(mpmath.fsum(
+            mpmath.mpf(_uhrig_moments(n, m)[0]) / 4**m * (1j * x) ** m / mpmath.factorial(m)
+            for m in range(n + 1, n + 60)
+        ))
+    value = uhrig_filter_magnitude(n, T, w, dps=120)
+    assert abs(value - oracle) <= 1e-12 * oracle
 
 
 def test_uhrig_filter_magnitude_validation():
@@ -605,6 +646,25 @@ def test_density_json_rejects_nan(tmp_path):
     path.write_text('{"kind": "ohmic-exponential", "amplitude": 1.0, "cutoff": NaN}')
     with pytest.raises(InvalidInputError):
         load_spectral_density(path)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"kind": "tabulated", "table": [["a", 1]]},
+        {"kind": "tabulated", "table": [1, 2]},
+        {"kind": "tabulated", "table": 5},
+        {"kind": "tabulated", "table": [[1, 2, 3]]},
+        {"kind": "hard-cutoff-flat", "cutoff": "x"},
+        {"kind": "ohmic-exponential", "cutoff": [1]},
+    ],
+    ids=["text-entry", "flat-table", "number-table", "triple", "text-cutoff", "list-cutoff"],
+)
+def test_malformed_density_is_invalid_input(doc):
+    with pytest.raises(InvalidInputError):
+        load_spectral_density(doc)
+    with pytest.raises(InvalidInputError):
+        SpectralDensity(**doc)
 
 
 def test_density_json_invalid():

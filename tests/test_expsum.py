@@ -664,7 +664,7 @@ def test_values_on_panels_within_stated_bound():
     # one call with several half-widths, as a level of a non-dyadic interval
     rng = np.random.default_rng(7)
     eps = np.finfo(float).eps
-    x = quadrature._NODES
+    x = quadrature._rules()[0]
     halfwidth = np.array([0.5, 2.0**-7, 1 / 3, 0.5, 1 / 3, 0.01])
     for size in (1, 13, 29, 41):
         lam = np.sort(rng.uniform(-100.0, 100.0, size))
