@@ -68,12 +68,16 @@ def stirling_envelope(a: float) -> float:
 
 def unit_gap_order_for_radius(a: float) -> int:
     """Even order n for radius a: n with a = e^-2/n when that holds exactly,
-    otherwise the smallest even n with e^-2/n < a."""
+    otherwise the smallest even n with e^-2/n < a.  An a so small that e^-2/a
+    overflows is invalid; :func:`~expsums.sequences.unit_gap_sum` takes
+    orders up to 2^27 only (a above about 1e-9)."""
     if not 0 < a < STIRLING_DOMAIN_MAX:
         raise InvalidInputError(
             f"a must lie in (0, {STIRLING_DOMAIN_MAX!r}), got {a}"
         )
     x = math.exp(-2.0) / a
+    if x == math.inf:
+        raise InvalidInputError(f"a = {a!r} is too small: the order e^-2/a overflows")
     r = round(x)
     if abs(x - r) < 1e-9 and r >= 2 and r % 2 == 0:
         return int(r)

@@ -24,19 +24,26 @@ Cywinski, Lutchyn, Nave and Das Sarma, PRB 77, 174509, 2008): with
     chi = sum_jk c_j c_k K(t_j - t_k),   K(D) = integral Lambda(omega)*cos(D*omega),
 
 and K is elementary for every density kind here.  :func:`decay_factor` sums it
-in double precision next to an a-priori rounding bound.  When the bound
-exceeds the tolerance it redoes the sum exactly in integers on the stored
-times: the lags are integers on a common dyadic scale, the ohmic kernel is
-rational, and the flat and tabulated kernels need cos and sin of t_j*w only
-for each stored time t_j and breakpoint w, which mpmath computes once to a
-fixed-point precision chosen from an explicit error bound.
+in double precision next to an a-priori rounding bound, proportional to the
+unit roundoff u = 2^-53.  When the bound exceeds the tolerance it redoes the
+same sum in the x87 80-bit extended type, u = 2^-64, with the same bound:
+only where ``np.longdouble`` is that format (``nmant == 63``), the one whose
+sinl and cosl were checked against mpmath.  When that bound exceeds the
+tolerance too, or the platform has no such type, it redoes the sum exactly in
+integers on the stored times: the lags are integers on a common dyadic
+scale, the ohmic kernel is rational, and the flat and tabulated kernels need
+cos and sin of t_j*w only for each stored time t_j and breakpoint w, which
+mpmath computes once to a fixed-point precision chosen from an explicit
+error bound.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -119,7 +126,8 @@ def uhrig_filter_magnitude(n: int, total_time: float, omega: float, dps: int = 5
     The absolute error, before the final rounding to a double, is at most
     E = (2n + 2)*(1 + |omega|*T)*10^-dps: each of the 2n + 2 units of
     sum|c_j| carries the working-precision rounding of its time and phase.
-    A magnitude at or below E is roundoff, and raises :class:`PrecisionError`.
+    A magnitude at or below E is roundoff, and raises :class:`PrecisionError`;
+    so does one below the smallest normal double, which has no double value.
     """
     if _count(n, "n") < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
@@ -139,6 +147,8 @@ def uhrig_filter_magnitude(n: int, total_time: float, omega: float, dps: int = 5
         factor = (2 * n + 2) * (1 + abs(omega * total_time))
         if value * 10**dps <= factor:  # |f| <= E, with no 10^-dps to underflow
             raise PrecisionError(f"|f| <= its error bound {factor:.3g}*10^-{dps}; raise dps")
+        if value < sys.float_info.min:
+            raise PrecisionError(f"|f| = {mpmath.nstr(value, 3)} lies below the double range")
         return float(value)
 
 
@@ -200,99 +210,158 @@ class SpectralDensity:
         return float(out) if np.isscalar(omega) else out
 
 
-# unit roundoff of double precision, and the relative error of one sin call:
-# glibc's sin is within 1 ulp, and np.sin of float64 matched math.sin bit for
-# bit on 250,000 arguments up to 1e5 (x86-64, numpy 2.4)
+# unit roundoff of double precision
 _U = 2.0 ** -53
-_SIN_ERR = 2 * _U
+# np.longdouble where it is the x87 80-bit format (64-bit significand), else
+# None.  Its sinl and cosl were checked against 160-bit mpmath on x86-64
+# (glibc 2.36, numpy 2.4): within 1.94 units of roundoff on 20,000 random
+# arguments per range up to |x| = 3,000 (and below 2 on spot checks up to
+# 1e15), and within 1.0 next to k*pi/2 for k < 2,000.  Other extended
+# formats are not used.
+_EXTENDED = np.longdouble if np.finfo(np.longdouble).nmant == 63 else None
+
+
+def _parts(x: np.ndarray) -> list:
+    """Doubles with the same exact sum as the float array x: its entries, or
+    for a wider type each entry's nearest double and the remainder, which is
+    exact barring underflow."""
+    hi = x.astype(float)
+    return hi.tolist() if x.dtype == hi.dtype else [*hi.tolist(), *(x - hi).tolist()]
 
 
 def _kernel(density: SpectralDensity, lags: np.ndarray):
     """Cosine kernel K(D) = integral over omega >= 0 of Lambda(omega)*cos(D*omega)
-    per unit amplitude, at D = 0 and at the positive ``lags``, in double
-    precision.
+    per unit amplitude, at D = 0 and at the positive ``lags``, in the float
+    type of ``lags`` (double, or the extended type of ``_EXTENDED``): every
+    derived quantity, from the cutoff to the table's slopes, is computed in it.
 
     Returns ``(K(0), K(lags), e0, errors)``: next to the values, a-priori
-    bounds, to first order in the unit roundoff u and barring underflow, on
-    the rounding errors of K(0) and of each K(lag), counting the rounding of
-    the lags themselves.
+    bounds, to first order in the unit roundoff u of that type and barring
+    underflow, on the rounding errors of K(0) and of each K(lag), counting the
+    rounding of the lags themselves.
     """
+    dtype = lags.dtype.type
+    # the relative error of one sin call is taken as 2u: glibc's sin is within
+    # 1 ulp, and np.sin of float64 matched math.sin bit for bit on 250,000
+    # arguments up to 1e5 (x86-64, numpy 2.4); for sinl see _EXTENDED
+    u = np.finfo(dtype).epsneg
+    sin_err = 2 * u
     if density.kind == FLAT:
-        wc = float(density.cutoff)
+        wc = dtype(density.cutoff)
         values = np.sin(lags * wc) / lags
         # the lag and the product move the argument by 2u*|D*wc|; the sine,
-        # the lag and the division add (_SIN_ERR + 2u)*|K|
-        return wc, values, 0.0, 2 * _U * wc + (_SIN_ERR + 2 * _U) * np.abs(values)
+        # the lag and the division add (sin_err + 2u)*|K|
+        return wc, values, 0.0, 2 * u * wc + (sin_err + 2 * u) * np.abs(values)
     if density.kind == OHMIC:
-        wc = float(density.cutoff)
+        wc = dtype(density.cutoff)
         s = 1 / (wc * wc)
         square = lags * lags
         base = square + s
         values = -(square - s) / (base * base)
         # square and s carry 3u and 2u, so the numerator is off by 3u*base;
         # the squared base carries 9u and the division u
-        return wc * wc, values, _U * wc * wc, _U * (3 / base + 11 * np.abs(values))
+        return wc * wc, values, u * wc * wc, u * (3 / base + 11 * np.abs(values))
     # Integrating by parts leaves the edge values and, per breakpoint w_k, the
     # slope change times the integral of sin(D*omega)/D from w_k on, which is
     # 2*sin^2(D*w_k/2)/D^2 up to a constant that cancels over the table.
-    ws = [w for w, _ in density.table]
-    vs = [v for _, v in density.table]
-    segments = list(zip(ws, ws[1:], vs, vs[1:]))
-    slopes = [0, *((v1 - v0) / (w1 - w0) for w0, w1, v0, v1 in segments), 0]
-    jumps = np.array([b - a for a, b in zip(slopes, slopes[1:])])
-    k0 = math.fsum(0.5 * (v0 + v1) * (w1 - w0) for w0, w1, v0, v1 in segments)
-    halves = np.sin(np.multiply.outer(lags, np.array([w / 2 for w in ws])))
-    edges = np.sin(np.multiply.outer(lags, np.array([ws[0], ws[-1]])))
+    ws = np.array([w for w, _ in density.table], dtype)
+    vs = np.array([v for _, v in density.table], dtype)
+    steps = ws[1:] - ws[:-1]
+    slopes = np.zeros(len(ws) + 1, dtype)
+    slopes[1:-1] = (vs[1:] - vs[:-1]) / steps
+    jumps = slopes[1:] - slopes[:-1]
+    # the trapezoids, summed to within about u: a wider type adds the rest
+    # beyond the double nearest their sum
+    parts = _parts(0.5 * (vs[:-1] + vs[1:]) * steps)
+    k0 = math.fsum(parts)
+    if dtype is not np.float64 and math.isfinite(k0):
+        k0 = dtype(k0) + math.fsum([*parts, -k0])
+    halves = np.sin(np.multiply.outer(lags, ws / 2))
+    edges = np.sin(np.multiply.outer(lags, ws[[0, -1]]))
     squares = halves * halves
     values = (edges[:, 1] * vs[-1] - edges[:, 0] * vs[0]) / lags \
         + 2 * squares.dot(jumps) / (lags * lags)
     # slopes carry 3 roundings each, so a jump is known to 3u times the
     # slopes it joins; every other rounding scales with the jump itself
     sizes = np.abs(jumps)
-    joined = np.array([abs(a) + abs(b) for a, b in zip(slopes, slopes[1:])])
+    joined = np.abs(slopes[:-1]) + np.abs(slopes[1:])
     edge = (vs[-1] * np.abs(edges[:, 1]) + vs[0] * np.abs(edges[:, 0])) / lags
-    errors = 2 * _U * (vs[-1] * ws[-1] + vs[0] * ws[0]) \
-        + 4 * _U * np.abs(halves).dot(sizes * np.array(ws)) / lags \
-        + (_SIN_ERR + 5 * _U) * edge \
-        + 2 * squares.dot((2 * _SIN_ERR + (len(ws) + 9) * _U) * sizes + 3 * _U * joined) \
+    errors = 2 * u * (vs[-1] * ws[-1] + vs[0] * ws[0]) \
+        + 4 * u * np.abs(halves).dot(sizes * ws) / lags \
+        + (sin_err + 5 * u) * edge \
+        + 2 * squares.dot((2 * sin_err + (len(ws) + 9) * u) * sizes + 3 * u * joined) \
         / (lags * lags)
-    return k0, values, 5 * _U * k0, errors
+    return k0, values, 5 * u * k0, errors
+
+
+@functools.lru_cache(maxsize=64)
+def _pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The pairs j < k of the n + 2 times as index arrays, their weights
+    2*c_j*c_k (exact: |c_j c_k| are powers of two) and the diagonal weight
+    sum_j c_j^2.  Cached per n; the index sets cost more than a small sum."""
+    coeffs = np.array(_coefficients(n))
+    j, k = np.triu_indices(len(coeffs), 1)
+    weights = 2 * coeffs[j] * coeffs[k]
+    for shared in (j, k, weights):
+        shared.flags.writeable = False
+    return j, k, weights, float(coeffs @ coeffs)
+
+
+def _kernel_sum(seq: PulseSequence, density: SpectralDensity, dtype) -> tuple[float, float]:
+    """amplitude * sum_jk c_j c_k K(t_j - t_k) from the :func:`_kernel` values in
+    ``dtype``, as the diagonal plus twice the upper triangle, and an a-priori
+    bound on its error.  The terms are split by :func:`_parts` and added by
+    one ``math.fsum``, so the sum of the ``dtype`` terms is rounded to a double
+    once; that rounding and the amplitude's add 2u*|value| with the double u.
+    An overflow anywhere leaves a bound that is not finite."""
+    j, k, weights, diag = _pairs(seq.n_pulses)
+    times = np.array(seq.times, dtype)
+    with np.errstate(all="ignore"):
+        k0, values, e0, errors = _kernel(density, times[k] - times[j])
+        terms = _parts(np.append(weights * values, diag * k0))
+        error = diag * (e0 + np.finfo(dtype).epsneg * k0) + np.abs(weights) @ errors
+    try:
+        value = density.amplitude * math.fsum(terms)
+    except (OverflowError, ValueError):  # a sum beyond the range, or infinities of both signs
+        value = math.inf
+    return value, density.amplitude * float(error) + 2 * _U * abs(value)
 
 
 def decay_factor(seq: PulseSequence, density: SpectralDensity, abs_tol: float = 1e-10) -> float:
     """chi = integral of Lambda(omega)*|f(omega)|^2 over omega >= 0.
 
     With |f|^2 = sum_jk c_j c_k cos((t_j - t_k)*omega) this is the finite sum
-    amplitude * sum_jk c_j c_k K(t_j - t_k) of :func:`_kernel` values, taken as
-    the diagonal plus twice the upper triangle with exactly rounded summation.
-    Next to it goes an a-priori bound B on its rounding error.  If B exceeds
-    ``abs_tol`` the same sum is recomputed in exact integer arithmetic on the
-    stored times, from a cos/sin table of (n+2) entries per breakpoint at a
-    fixed-point precision whose error bound (see :func:`_exact_kernel_sum`)
-    is at most abs_tol/2.
+    amplitude * sum_jk c_j c_k K(t_j - t_k) of :func:`_kernel` values, taken
+    with exactly rounded summation next to an a-priori bound B on its rounding
+    error, at the unit roundoff u of the type it is computed in.  There are
+    three rungs, each taken only when the bound of the one before exceeds
+    ``abs_tol``:
 
-    The result is within ``abs_tol`` of chi for the stored times, apart from
-    its own rounding to a double.  A negative result is clamped to 0 (the true
-    chi is nonnegative, so this can only shrink the error).  In the deeply
-    suppressed regime the stored times, not the summation, limit how close
-    that is to chi of the exact construction.
+    1. the sum in double precision (u = 2^-53);
+    2. the same sum in the x87 80-bit extended type (u = 2^-64), on platforms
+       whose ``np.longdouble`` is that format (``nmant == 63``), the one whose
+       sinl and cosl were checked; elsewhere this rung is absent;
+    3. the sum in exact integer arithmetic on the stored times, from a cos/sin
+       table of (n+2) entries per breakpoint at a fixed-point precision whose
+       error bound (see :func:`_exact_kernel_sum`) is at most abs_tol/2.
+
+    A double bound that overflows raises :class:`PrecisionError` before any
+    other rung.  The result is within ``abs_tol`` of chi for the stored
+    times, apart from its own rounding to a double and barring underflow.  A
+    negative result is clamped to 0 (the true chi is nonnegative, so this can
+    only shrink the error).  In the deeply suppressed regime the stored times,
+    not the summation, limit how close that is to chi of the exact
+    construction.
     """
     if not abs_tol > 0:
         raise InvalidInputError(f"abs_tol must be positive, got {abs_tol}")
     if density.amplitude == 0.0:
         return 0.0
-    coeffs = np.array(_coefficients(seq.n_pulses))
-    j, k = np.triu_indices(len(coeffs), 1)
-    # |c_j c_k| are powers of two, so the weights are exact
-    weights = 2 * coeffs[j] * coeffs[k]
-    diag = float(coeffs @ coeffs)
-    times = np.array(seq.times)
-    k0, values, e0, errors = _kernel(density, times[k] - times[j])
-    value = density.amplitude * math.fsum([diag * k0, *(weights * values).tolist()])
-    bound = density.amplitude * (diag * (e0 + _U * k0) + float(np.abs(weights) @ errors)) \
-        + 2 * _U * abs(value)
+    value, bound = _kernel_sum(seq, density, np.float64)
     if not math.isfinite(bound):
         raise PrecisionError(f"chi overflows double precision (bound {bound})")
+    if bound > abs_tol and _EXTENDED is not None:
+        value, bound = _kernel_sum(seq, density, _EXTENDED)
     if bound > abs_tol:
         value = _exact_kernel_sum(seq, density, abs_tol)
     return max(value, 0.0)

@@ -52,6 +52,11 @@ __all__ = [
     "gap_check",
 ]
 
+# Largest order n whose double fractions d_k are distinct and below 1: at
+# n = 2^27 the last three are 1 - 1.3e-15, 1 - 4.4e-16 and 1 - 2.2e-16, and
+# at n = 2^28 the last rounds to 1.  A list of that many floats takes 4 GB.
+_MAX_ORDER = 2**27
+
 # Tolerance absorbing serialization roundoff in exact-value checks (gap and
 # growth comparisons here, |a_0| = 1 and Re(lambda_0) = 0 in the L1 probe).
 EXACT_TOL = 1e-12
@@ -65,7 +70,11 @@ def _require_even_positive(n: int) -> None:
 def _sin2(n: int, dps: Optional[int] = None) -> list:
     """The fractions sin^2(k*pi/(2n+2)), k = 1..n, computed directly as sin^2
     (no cancellation): Python floats from ``math.sin``, or mpf values at
-    ``dps`` significant digits."""
+    ``dps`` significant digits.  An order above 2^27 is rejected before any
+    list is built."""
+    if n > _MAX_ORDER:
+        raise InvalidInputError(f"order n > 2^27 = {_MAX_ORDER}: the sin^2 fractions "
+                                "would not be distinct doubles")
     if dps is None:
         sin, pi, context = math.sin, math.pi, contextlib.nullcontext()
     elif dps < 1:
@@ -147,7 +156,8 @@ def uhrig_sum(n: int) -> ExpSum:
     """The sum with exponents (0, d_1, ..., d_n, 1) and coefficients
     (1, -2, +2, ..., -1); vanishes to order n+1 at t = 0 for even n."""
     _require_even_positive(n)
-    g = ExpSum(coefficients=_coefficients(n), exponents=(0.0, *_sin2(n), 1.0))
+    d = _sin2(n)  # first: it rejects an order too large for any list
+    g = ExpSum(coefficients=_coefficients(n), exponents=(0.0, *d, 1.0))
     return _built_as(g, n, 1.0)
 
 
@@ -155,11 +165,13 @@ def scaled_sum_order(b: float) -> int:
     """The even order n used by :func:`scaled_sum` for the given b.
 
     n = 3/b - 1 when that is an even integer; otherwise the largest even n
-    with b < 3/(n+1).
+    with b < 3/(n+1).  A b so small that 3/b overflows is invalid.
     """
     if not 0 < b <= 3:
         raise InvalidInputError(f"b must lie in (0, 3], got {b}")
     x = 3.0 / b - 1.0
+    if x == math.inf:
+        raise InvalidInputError(f"b = {b!r} is too small: the order 3/b - 1 overflows")
     r = round(x)
     if abs(x - r) < 1e-9 and r >= 0 and r % 2 == 0:
         return int(r)
@@ -173,11 +185,13 @@ def scaled_sum(b: float) -> ExpSum:
     """The order-n sum with exponents stretched by 9/b^2.
 
     The stretched exponents (0, 9*d_1/b^2, ..., 9/b^2) have consecutive gaps
-    >= 1 for every b in (0, 3].
+    >= 1 for every b in (0, 3].  An order above 2^27 (b below about 2.2e-8)
+    is rejected before any list is built; up to that cap 9/b^2 is finite.
     """
     n = scaled_sum_order(b)
+    d = _sin2(n)  # first: past its order cap b*b may underflow to 0
     scale = 9.0 / (b * b)
-    exps = tuple(scale * x for x in (0.0, *_sin2(n), 1.0))
+    exps = tuple(scale * x for x in (0.0, *d, 1.0))
     return _built_as(ExpSum(coefficients=_coefficients(n), exponents=exps), n, scale)
 
 
@@ -190,7 +204,8 @@ def rescaled_timings(n: int) -> tuple[float, ...]:
 
 def unit_gap_sum(n: int) -> ExpSum:
     """Same coefficients as :func:`uhrig_sum`, exponents (0, d_1/d_1, ...,
-    d_n/d_1, 1/d_1); the first-fraction normalization makes every gap >= 1."""
+    d_n/d_1, 1/d_1); the first-fraction normalization makes every gap >= 1.
+    An order above 2^27 is rejected before any list is built."""
     _require_even_positive(n)
     d = _sin2(n)
     exps = (0.0, *(x / d[0] for x in d), 1.0 / d[0])

@@ -152,6 +152,34 @@ def test_bounds_scan_out_of_domain(capsys):
     assert code == 2
 
 
+def limit_memory():
+    """Cap a child's address space at 600 MB, where a list of a huge order
+    ends in a MemoryError within seconds."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (600 << 20, 600 << 20))
+
+
+# orders far beyond 2^27 (the first six), and radii whose order overflows
+@pytest.mark.parametrize("argv", [
+    ["bounds-scan", "--family", "stirling", "--a-grid", "1e-300"],
+    ["l1-scan", "--b-grid", "1e-100"],
+    ["l1-scan", "--b-grid", "1e-300"],
+    ["bounds-scan", "--family", "taylor", "--a-grid", "1e-300"],
+    ["uhrig", "--n", str(10**12), "--T", "1"],
+    ["verify-multiplicity", "--n", str(10**12)],
+    ["bounds-scan", "--family", "stirling", "--a-grid", "5e-324"],
+    ["l1-scan", "--b-grid", "5e-324"],
+], ids=["stirling-1e-300", "l1-1e-100", "l1-1e-300", "taylor-1e-300", "uhrig-1e12",
+        "verify-1e12", "stirling-subnormal", "l1-subnormal"])
+def test_huge_order_is_a_usage_error(argv):
+    proc = subprocess.run([sys.executable, "-m", "expsums.cli", *argv], capture_output=True,
+                          text=True, timeout=60, preexec_fn=limit_memory)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # chi
 

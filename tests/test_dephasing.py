@@ -217,6 +217,14 @@ def test_uhrig_filter_magnitude_raises_at_roundoff(n):
         uhrig_filter_magnitude(n, 1.0, 1e-3, dps=50)
 
 
+# true values 1.0e-400 and 3.3e-330, resolved at these dps but below the
+# smallest normal double
+@pytest.mark.parametrize("n,omega,dps", [(40, 1e-8, 500), (30, 1e-9, 400)])
+def test_uhrig_filter_magnitude_below_double_range_raises(n, omega, dps):
+    with pytest.raises(PrecisionError, match="below the double range"):
+        uhrig_filter_magnitude(n, 1.0, omega, dps=dps)
+
+
 def test_uhrig_filter_magnitude_matches_moment_series():
     # f(omega) = sum_{m > n} mu_m*(i*omega*T)^m/m! with the exact moments
     n, T, w = 20, 1.0, 1e-3
@@ -376,6 +384,18 @@ def test_decay_overflow_is_a_precision_error():
     dens = SpectralDensity(kind="ohmic-exponential", amplitude=1.0, cutoff=1e200)
     with pytest.raises(PrecisionError):
         decay_factor(ECHO, dens)
+
+
+# a trapezoid overflows; kernel terms overflow to infinities of both signs,
+# which math.fsum refuses
+@pytest.mark.parametrize("density", [
+    SpectralDensity(kind="tabulated", table=((0.0, 1.0), (1e200, 1e200))),
+    SpectralDensity(kind="tabulated", table=((0.0, 0.0), (1.0, 1e308), (2.0, 0.0))),
+], ids=["table-huge-area", "table-huge-peak"])
+def test_decay_overflow_inside_the_sum_is_a_precision_error(density):
+    for seq in (ECHO, uhrig_pulse_times(8, 1.0)):
+        with pytest.raises(PrecisionError):
+            decay_factor(seq, density)
 
 
 # Lambda(omega) = 1 / (1 + omega) and omega * exp(-omega/10) sampled on a few
@@ -538,16 +558,18 @@ def test_decay_escalates_to_mpmath(monkeypatch):
 @pytest.mark.parametrize(
     "density,abs_tol,limit",
     [
-        (SpectralDensity(kind="tabulated", table=TABLES["ohmic-like"]), 1e-10, 34 * 7),
+        (SpectralDensity(kind="tabulated", table=TABLES["ohmic-like"]), 1e-14, 34 * 7),
         (SpectralDensity(kind="hard-cutoff-flat", cutoff=300.0), 1e-13, 34),
-        (SpectralDensity(kind="ohmic-exponential", cutoff=20.0), 1e-10, 0),
+        (SpectralDensity(kind="ohmic-exponential", cutoff=20.0), 1e-12, 0),
     ],
     ids=["tabulated-7-breakpoints", "flat", "ohmic"],
 )
 def test_decay_rung_trig_calls(monkeypatch, density, abs_tol, limit):
-    # the rung takes cos and sin of t_j*w once per stored time and breakpoint
-    # (n + 2 times, 7 breakpoints here, the cutoff for flat densities), and
-    # none at all for the rational ohmic kernel
+    # the integer rung takes cos and sin of t_j*w once per stored time and
+    # breakpoint (n + 2 times, 7 breakpoints here, the cutoff for flat
+    # densities), and none at all for the rational ohmic kernel; the
+    # tolerances lie below the extended-precision bounds (1.5e-13, 8e-12 and
+    # 4.7e-12), so the integer rung runs wherever the extended one exists
     seq = uhrig_pulse_times(32, 1.0)
     calls = []
     for name in ("sin", "cos", "cos_sin"):
@@ -562,8 +584,8 @@ def test_decay_rung_trig_calls(monkeypatch, density, abs_tol, limit):
 
 def test_decay_random_inputs_meet_tolerance():
     rng = np.random.default_rng(7)
-    for _ in range(12):
-        n = int(rng.integers(1, 13))
+    for size in [None] * 12 + [32, 32, 40]:
+        n = size or int(rng.integers(1, 13))
         total = float(rng.uniform(0.5, 2.0))
         seq = PulseSequence.from_pulses(np.sort(rng.uniform(0.0, total, n)), total)
         ws = np.cumsum(rng.uniform(0.2, 5.0, 5)) - float(rng.uniform(0.0, 0.2))
@@ -577,6 +599,111 @@ def test_decay_random_inputs_meet_tolerance():
             for abs_tol in (1e-10, 1e-12, 1e-13):
                 value = decay_factor(seq, density, abs_tol=abs_tol)
                 assert abs(value - exact) <= abs_tol + math.ulp(exact)
+
+
+# 32-pulse sums whose double-precision bound exceeds abs_tol (the decaying
+# table's bound is 1.5e-11, so it takes 1e-12), with the integer rung's
+# values: float.hex of decay_factor on double then integer arithmetic
+RUNG_CASES = {
+    "ohmic-like-table": (SpectralDensity(kind="tabulated", table=TABLES["ohmic-like"]), 1e-10,
+                         "0x1.3443042b9b800p-22"),
+    "decaying-table": (SpectralDensity(kind="tabulated", table=TABLES["decaying"]), 1e-12, "0x0.0p+0"),
+    "flat-1000": (SpectralDensity(kind="hard-cutoff-flat", cutoff=1000.0), 1e-10,
+                  "0x1.ed865865a5500p+16"),
+    "ohmic-20": (SpectralDensity(kind="ohmic-exponential", cutoff=20.0), 1e-10, "0x1.424de54f0cfaap+14"),
+    "ohmic-50": (SpectralDensity(kind="ohmic-exponential", cutoff=50.0), 1e-10, "0x1.21279c3225cb6p+18"),
+}
+
+
+def record_rungs(monkeypatch):
+    """Patch the rungs of decay_factor to log the float types of the kernel
+    sums and the integer-rung calls."""
+    calls = []
+    kernel_sum, exact = dephasing._kernel_sum, dephasing._exact_kernel_sum
+    monkeypatch.setattr(dephasing, "_kernel_sum",
+                        lambda seq, density, dtype: calls.append(dtype) or kernel_sum(seq, density, dtype))
+    monkeypatch.setattr(dephasing, "_exact_kernel_sum",
+                        lambda *args: calls.append("integer") or exact(*args))
+    return calls
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason="no x87 extended precision")
+@pytest.mark.parametrize("name", sorted(RUNG_CASES))
+def test_decay_extended_rung_replaces_integer_rung(monkeypatch, name):
+    density, abs_tol, _ = RUNG_CASES[name]
+    seq = uhrig_pulse_times(32, 1.0)
+    calls = record_rungs(monkeypatch)
+    value = decay_factor(seq, density, abs_tol=abs_tol)
+    assert calls == [np.float64, np.longdouble]
+    exact = kernel_sum_mp(seq, density)
+    assert abs(value - exact) <= abs_tol + math.ulp(exact)
+
+
+@pytest.mark.parametrize("name", sorted(RUNG_CASES))
+def test_decay_without_extended_type_takes_integer_rung(monkeypatch, name):
+    # as on a platform whose long double is not the x87 format
+    density, abs_tol, expected = RUNG_CASES[name]
+    monkeypatch.setattr(dephasing, "_EXTENDED", None)
+    calls = record_rungs(monkeypatch)
+    value = decay_factor(uhrig_pulse_times(32, 1.0), density, abs_tol=abs_tol)
+    assert calls == [np.float64, "integer"]
+    assert value.hex() == expected
+
+
+@pytest.mark.parametrize("dtype", [np.float64, pytest.param(np.longdouble, marks=pytest.mark.skipif(
+    dephasing._EXTENDED is None, reason="no x87 extended precision"))])
+def test_kernel_sum_within_its_bound(dtype):
+    # the a-priori bound of each float rung against the 30-digit sum, on
+    # random sequences of up to 40 pulses and densities of every kind
+    rng = np.random.default_rng(11)
+    for case in range(30):
+        n = int(rng.integers(1, 41))
+        total = float(rng.uniform(0.5, 2.0))
+        seq = uhrig_pulse_times(n, total) if case % 2 else \
+            PulseSequence.from_pulses(np.sort(rng.uniform(0.0, total, n)), total)
+        amplitude = float(rng.uniform(0.1, 3.0))
+        if case % 3 == 0:
+            density = SpectralDensity(kind="hard-cutoff-flat", amplitude=amplitude,
+                                      cutoff=float(rng.uniform(1.0, 1000.0)))
+        elif case % 3 == 1:
+            density = SpectralDensity(kind="ohmic-exponential", amplitude=amplitude,
+                                      cutoff=float(rng.uniform(0.1, 60.0)))
+        else:
+            m = int(rng.integers(2, 9))
+            ws = np.cumsum(rng.uniform(0.2, 8.0, m)) - float(rng.uniform(0.0, 0.2))
+            density = SpectralDensity(kind="tabulated", amplitude=amplitude,
+                                      table=tuple(zip(ws, rng.uniform(0.0, 3.0, m))))
+        value, bound = dephasing._kernel_sum(seq, density, dtype)
+        exact = kernel_sum_mp(seq, density, dps=30)
+        assert abs(value - exact) <= bound + math.ulp(exact)
+
+
+def long_double_to_mpf(x):
+    """The exact value of a long double: its nearest double plus the rest."""
+    hi = float(x)
+    return mpmath.mpf(hi) + mpmath.mpf(float(x - np.longdouble(hi)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant != 63, reason="no x87 extended precision")
+def test_long_double_sin_cos_within_two_units_of_roundoff():
+    # _kernel takes each sin of a long double as within 2u = 2^-63 relative;
+    # random arguments up to 1e3, with all 64 bits set, and the long doubles
+    # nearest k*pi/2, where one of sin and cos nearly vanishes
+    rng = np.random.default_rng(3)
+    scale = 1 + np.longdouble(2.0 ** -60) * rng.uniform(-1.0, 1.0, 1000).astype(np.longdouble)
+    args = [*(rng.uniform(0.0, 1e3, 1000).astype(np.longdouble) * scale)]
+    with mpmath.mp.workprec(160):
+        for k in range(1, 1001):
+            target = k * mpmath.pi / 2
+            hi = float(target)
+            args.append(np.longdouble(hi) + np.longdouble(float(target - hi)))
+        xs = np.array(args, dtype=np.longdouble)
+        worst = 0.0
+        for ours, exact in ((np.sin, mpmath.sin), (np.cos, mpmath.cos)):
+            for x, y in zip(xs, ours(xs)):
+                truth = exact(long_double_to_mpf(x))
+                worst = max(worst, float(abs(long_double_to_mpf(y) - truth) / abs(truth)))
+    assert worst <= 2 * float(np.finfo(np.longdouble).epsneg)
 
 
 # the true values are far below 1e-10; the double-precision sums of the last
