@@ -268,6 +268,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except MemoryError:  # an order below the caps whose lists still do not fit
+        print("error: out of memory; try a smaller order or radius", file=sys.stderr)
+        return EXIT_USAGE
     except (PrecisionError, QuadratureError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

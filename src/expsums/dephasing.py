@@ -255,6 +255,13 @@ def _kernel(density: SpectralDensity, lags: np.ndarray):
     if density.kind == OHMIC:
         wc = dtype(density.cutoff)
         s = 1 / (wc * wc)
+        if not np.isfinite(s):
+            # a cutoff so small that 1/wc^2 overflows: K = wc^2*(1 - q)/(1 + q)^2
+            # with q = (D*wc)^2, so |K| <= wc^2 and the roundings of q, of the
+            # factors and of their product stay within 10u*wc^2
+            q = (lags * wc) * (lags * wc)
+            values = wc * wc * (1 - q) / ((1 + q) * (1 + q))
+            return wc * wc, values, u * wc * wc, np.full_like(values, 10 * u * wc * wc)
         square = lags * lags
         base = square + s
         values = -(square - s) / (base * base)

@@ -490,11 +490,13 @@ def sup_norm(g: ExpSum, interval: Interval, grid_points: Optional[int] = None) -
 
 
 def l1_norm(g: ExpSum, interval: Interval, abs_tol: float = 1e-10) -> float:
-    """Integral of |g| over the interval by adaptive Gauss-Legendre quadrature.
+    """Integral of |g| over the interval by adaptive Gauss-Kronrod quadrature
+    (the nested G15/K31 pair of :mod:`expsums.quadrature`).
 
-    Bisection handles the derivative kinks of |g| at zero crossings.  Each
-    level is evaluated in factored form, one exp per (panel, term) and not
-    per (node, term), within the bound of :func:`_values_on_panels`.  Raises
+    Quartering failing panels handles the derivative kinks of |g| at zero
+    crossings.  Each level is evaluated in factored form, one exp per (panel,
+    term) and not per (node, term), within the bound of
+    :func:`_values_on_panels`.  Raises
     :class:`~expsums.errors.QuadratureError` (with partial result and achieved
     tolerance attached) if the subdivision cap is reached.
     """

@@ -180,6 +180,23 @@ def test_huge_order_is_a_usage_error(argv):
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+# orders below the caps that still exhaust memory (about 216 B per term):
+# the builder raises MemoryError, here without allocating anything
+@pytest.mark.parametrize("builder, argv", [
+    ("expsums.sequences.uhrig_pulse_times", ["uhrig", "--n", str(10**8), "--T", "1"]),
+    ("expsums.cli.scaled_sum", ["l1-scan", "--b-grid", "1e-7"]),
+], ids=["uhrig-1e8", "l1-1e-7"])
+def test_out_of_memory_is_a_usage_error(builder, argv, capsys, monkeypatch):
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(builder, exhausted)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
 # ---------------------------------------------------------------------------
 # chi
 

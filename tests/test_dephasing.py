@@ -380,6 +380,29 @@ def test_decay_validation():
         decay_factor(FREE, dens, abs_tol=math.nan)
 
 
+def test_decay_ohmic_cutoff_whose_inverse_square_overflows():
+    # the least cutoff whose 1/wc^2 is finite, and the double below it
+    edge = math.sqrt(1 / np.finfo(float).max)
+    while math.isfinite(1 / (edge * edge)):
+        edge = math.nextafter(edge, 0.0)
+    below, edge = edge, math.nextafter(edge, 1.0)
+    assert math.isfinite(1 / (edge * edge))
+    seq = uhrig_pulse_times(4, 1.0)
+    lags = np.array([0.25, 1.0])
+    for cutoff in (1e-200, below, edge):
+        dens = SpectralDensity(kind="ohmic-exponential", cutoff=cutoff)
+        # chi is about amplitude * wc^4 * sum_jk c_j c_k (t_j - t_k)^2: 0 in doubles
+        assert 0.0 <= decay_factor(seq, dens) <= 1e-300
+        with np.errstate(all="ignore"):  # as in _kernel_sum
+            k0, values, _, errors = dephasing._kernel(dens, lags)
+        assert k0 == cutoff * cutoff and np.all(np.abs(values) <= k0 + errors)
+    # at the edge the rational kernel in s = 1/wc^2 is kept, bit for bit
+    s = 1 / (edge * edge)
+    with np.errstate(over="ignore"):
+        old = -(lags * lags - s) / ((lags * lags + s) * (lags * lags + s))
+    assert np.array_equal(values, old)
+
+
 def test_decay_overflow_is_a_precision_error():
     dens = SpectralDensity(kind="ohmic-exponential", amplitude=1.0, cutoff=1e200)
     with pytest.raises(PrecisionError):

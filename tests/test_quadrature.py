@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -57,15 +59,94 @@ def test_determinism():
 
 
 # ---------------------------------------------------------------------------
+# the nested rule, derived independently of the module's literals
+
+def kronrod31(dps=60):
+    """K31 from scratch: the nonnegative nodes and their K31 weights, then the
+    nonnegative Gauss nodes and their G15 weights, as mpf at ``dps`` digits.
+
+    The Gauss nodes are the zeros of P_15; the Kronrod nodes those of the
+    Stieltjes polynomial E_16 = x^16 + ..., whose exact rational coefficients
+    make int P_15(x) x^j E_16(x) dx vanish for j < 16.  The weights solve the
+    moment equations sum_i w_i x_i^(2k) = 2/(2k + 1) on the even monomials.
+    """
+    p_prev, p = [Fraction(1)], [Fraction(0), Fraction(1)]
+    for k in range(1, 15):  # (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}
+        nxt = [Fraction(0)] + [(2 * k + 1) * c for c in p]
+        for i, c in enumerate(p_prev):
+            nxt[i] -= k * c
+        p_prev, p = p, [c / (k + 1) for c in nxt]
+    moment = lambda m: Fraction(2, m + 1) if m % 2 == 0 else Fraction(0)
+    legendre_moment = lambda m: sum(c * moment(i + m) for i, c in enumerate(p))
+    # rows j = 0..15 of the system for c_0..c_15, exact Gauss-Jordan
+    rows = [[legendre_moment(i + j) for i in range(16)] + [-legendre_moment(16 + j)]
+            for j in range(16)]
+    for col in range(16):
+        pivot = next(r for r in range(col, 16) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(16):
+            if r != col and rows[r][col] != 0:
+                rows[r] = [v - rows[r][col] * w for v, w in zip(rows[r], rows[col])]
+    stieltjes = [row[-1] for row in rows] + [Fraction(1)]
+    assert all(c == 0 for c in stieltjes[1::2])
+
+    with mpmath.workdps(dps):
+        def positive_roots(even_coefficients):
+            coefficients = [mpmath.mpf(c.numerator) / c.denominator
+                            for c in even_coefficients[::-1]]
+            ys = mpmath.polyroots(coefficients, maxsteps=200, extraprec=4 * dps)
+            return [mpmath.sqrt(y) for y in ys]
+
+        def weights(xs):
+            vandermonde = mpmath.matrix([[x ** (2 * k) for x in xs] for k in range(len(xs))])
+            w = mpmath.lu_solve(vandermonde, [mpmath.mpf(2) / (2 * k + 1) for k in range(len(xs))])
+            return [w[i] if x == 0 else w[i] / 2 for i, x in enumerate(xs)]
+
+        gauss = sorted([mpmath.mpf(0)] + positive_roots(p[1::2]))
+        nodes = sorted(gauss + positive_roots(stieltjes[0::2]))
+        return nodes, weights(nodes), gauss, weights(gauss)
+
+
+def test_rule_literals_match_the_derivation():
+    nodes, w_kronrod, gauss, w_gauss = kronrod31()
+    assert len(nodes) == 16 and gauss == nodes[0::2]  # interlaced, 0 a Gauss node
+    for literals, derived in ((quadrature._X, nodes), (quadrature._W_KRONROD, w_kronrod),
+                              (quadrature._W_GAUSS, w_gauss)):
+        assert len(literals) == len(derived)
+        for literal, exact in zip(literals, derived):
+            assert abs(literal - float(exact)) <= 2 * np.spacing(float(exact))
+
+
+def test_rule_is_exact_to_degree_46():
+    nodes, w_kronrod, _ = quadrature._rules()
+    for k in range(47):
+        exact = 2 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(float(np.dot(w_kronrod, nodes**k)) - exact) <= 1e-14
+
+
+def test_rule_nests_g15():
+    nodes, w_kronrod, w_gauss = quadrature._rules()
+    assert len(nodes) == len(w_kronrod) == 31 and len(w_gauss) == 15
+    assert np.array_equal(nodes, -nodes[::-1])
+    assert np.array_equal(w_kronrod, w_kronrod[::-1]) and np.array_equal(w_gauss, w_gauss[::-1])
+    x15, w15 = np.polynomial.legendre.leggauss(15)
+    assert np.abs(nodes[1::2] - x15).max() <= 2e-16
+    # leggauss's weights are off by up to 5.3e-16 here (38 ulp of 0.107,
+    # numpy 2.4); the literals are the correctly rounded ones, checked above
+    assert np.abs(w_gauss - w15).max() <= 1e-15
+
+
+# ---------------------------------------------------------------------------
 # breadth-first evaluation against the depth-first recursion it replaced
 
 def recursive_gauss_legendre(f, lo, hi, abs_tol, max_depth=20, widths=None):
-    """The depth-first recursion: one 15- and one 31-point call per panel.
+    """The depth-first recursion: one K31 call per panel, G15 on its
+    odd-indexed values, and a failing panel quartered.
 
     ``widths``, if given, collects the number of panels at each depth.
     """
-    x15, w15 = np.polynomial.legendre.leggauss(15)
-    x31, w31 = np.polynomial.legendre.leggauss(31)
+    x, w_kronrod, w_gauss = quadrature._rules()
     total_len = hi - lo
 
     def recurse(a, b, depth):
@@ -73,15 +154,18 @@ def recursive_gauss_legendre(f, lo, hi, abs_tol, max_depth=20, widths=None):
             widths[depth] = widths.get(depth, 0) + 1
         mid = 0.5 * (a + b)
         halfwidth = 0.5 * (b - a)
-        v_lo = halfwidth * float(np.dot(w15, f(mid + halfwidth * x15)))
-        value = halfwidth * float(np.dot(w31, f(mid + halfwidth * x31)))
-        err = abs(value - v_lo)
+        values = f(mid + halfwidth * x)
+        value = halfwidth * float(np.dot(w_kronrod, values))
+        err = abs(value - halfwidth * float(np.dot(w_gauss, values[1::2])))
         if err <= abs_tol * (b - a) / total_len or depth >= max_depth:
             return value, err
-        mid = 0.5 * (a + b)
-        lv, le = recurse(a, mid, depth + 1)
-        rv, re = recurse(mid, b, depth + 1)
-        return lv + rv, le + re
+        steps = min(2, max_depth - depth)
+        m = 0.5 * (a + b)
+        edges = [a, m, b] if steps == 1 else [a, 0.5 * (a + m), m, 0.5 * (m + b), b]
+        parts = [recurse(l, r, depth + steps) for l, r in zip(edges, edges[1:])]
+        while len(parts) > 1:
+            parts = [(l[0] + r[0], l[1] + r[1]) for l, r in zip(parts[0::2], parts[1::2])]
+        return parts[0]
 
     value, err = recurse(lo, hi, 0)
     if err > abs_tol:
@@ -160,20 +244,23 @@ def counted(f):
 
 @pytest.mark.parametrize("slice_panels", [None, 1, 7])
 def test_one_integrand_call_per_level(monkeypatch, slice_panels):
+    points = len(quadrature._rules()[0])
     if slice_panels is not None:
-        monkeypatch.setattr(quadrature, "_SLICE_POINTS", 46 * slice_panels)
-    per_slice = quadrature._SLICE_POINTS // 46
+        monkeypatch.setattr(quadrature, "_SLICE_POINTS", points * slice_panels)
+    per_slice = quadrature._SLICE_POINTS // points
     g = uhrig_sum(20)
     widths = {}
     expected = recursive_gauss_legendre(abs_sum(g), 0.0, 80.0, 1e-10, widths=widths)
     f, sizes = counted(abs_sum(g))
     assert adaptive_gauss_legendre(f, 0.0, 80.0, 1e-10) == expected
-    # the same panels: 46 points each, no more and no fewer
-    assert sum(sizes) == 46 * sum(widths.values())
+    # the same panels: 31 points each, no more and no fewer
+    assert points == 31
+    assert sum(sizes) == points * sum(widths.values())
     assert max(sizes) <= quadrature._SLICE_POINTS
     extra = sum(-(-w // per_slice) - 1 for w in widths.values())
     assert len(sizes) == len(widths) + extra
-    assert len(sizes) <= 20 + 1 + extra
+    # quartering: a level every second depth, 0, 2, ..., 20
+    assert len(sizes) <= 20 // 2 + 1 + extra
     if slice_panels is None:
         assert extra == 0
 
@@ -201,11 +288,13 @@ def test_nan_integrand_raises_at_once():
 
 
 def test_integrand_infinite_at_one_node_raises_at_once():
-    node = 0.5 + 0.5 * np.polynomial.legendre.leggauss(31)[0][7]
-    f, sizes = counted(lambda x: np.where(x == node, np.inf, 1.0))
-    with pytest.raises(QuadratureError, match="not finite"):
-        adaptive_gauss_legendre(f, 0.0, 1.0, 1e-10)
-    assert len(sizes) == 1
+    # node 7 is a G15 node (K31 and G15 both infinite), node 8 a K31 node only
+    for k in (7, 8):
+        node = 0.5 + 0.5 * quadrature._rules()[0][k]
+        f, sizes = counted(lambda x: np.where(x == node, np.inf, 1.0))
+        with pytest.raises(QuadratureError, match="not finite"):
+            adaptive_gauss_legendre(f, 0.0, 1.0, 1e-10)
+        assert len(sizes) == 1
 
 
 @pytest.mark.parametrize(
