@@ -35,6 +35,13 @@ scale, the ohmic kernel is rational, and the flat and tabulated kernels need
 cos and sin of t_j*w only for each stored time t_j and breakpoint w, which
 mpmath computes once to a fixed-point precision chosen from an explicit
 error bound.
+
+:func:`uhrig_filter_magnitude` answers for the exact sin^2 construction
+instead of its stored times.  Up to |omega*T| = 8 it sums the moment series
+f = sum_{m > n} mu_m*(i*omega*T)^m/m! in fixed-point integers, from the exact
+moments of ``expsum._uhrig_moments`` and with an integer error bound; above
+that it sums mpmath exponentials over the timings recomputed at ``dps``
+digits.
 """
 
 from __future__ import annotations
@@ -53,8 +60,10 @@ import numpy as np
 from mpmath import mp
 
 from .errors import InvalidInputError, PrecisionError, _count
-from .expsum import ExpSum, _built_as, _f17, _on_one_scale, vanishing_order
-from .sequences import PulseSequence, _coefficients, _sin2
+from .expsum import (
+    ExpSum, _built_as, _f17, _magnitude, _on_one_scale, _uhrig_moments, vanishing_order,
+)
+from .sequences import _MAX_ORDER, PulseSequence, _coefficients, _sin2
 
 __all__ = [
     "SpectralDensity",
@@ -115,26 +124,111 @@ def vanishing_order_filter(seq: PulseSequence, rel_tol: float = 1e-12) -> Option
 
 
 def uhrig_filter_magnitude(n: int, total_time: float, omega: float, dps: int = 50) -> float:
-    """|f(omega)| for sin^2 timings, with the timings recomputed at ``dps`` digits.
+    """|f(omega)| of the exact n-pulse sin^2 sequence of duration T, not of
+    its stored double times.
 
-    Near omega = 0 the filter of an n-pulse sin^2 sequence is of size
-    omega^(n+1), far below what double-precision stored times can resolve
-    (their rounding alone perturbs the sum at relative 1e-16 of the term
-    size).  Recomputing the timings at working precision keeps the tiny true
-    value, so log-log slope measurements stay clean.
+    Near omega = 0 that filter is of size (omega*T)^(n+1), far below what
+    double-precision stored times can resolve (their rounding alone perturbs
+    the sum at relative 1e-16 of the term size).  Both routes below keep the
+    tiny true value, so log-log slope measurements stay clean.
 
-    The absolute error, before the final rounding to a double, is at most
-    E = (2n + 2)*(1 + |omega|*T)*10^-dps: each of the 2n + 2 units of
-    sum|c_j| carries the working-precision rounding of its time and phase.
-    A magnitude at or below E is roundoff, and raises :class:`PrecisionError`;
-    so does one below the smallest normal double, which has no double value.
+    For |omega*T| <= 8 the sum is the moment series f = sum_{m > n}
+    mu_m*(i*x)^m/m! in fixed-point integers, with the exact moments mu_m of
+    ``expsum._uhrig_moments`` and x = omega*T exact as the product of two
+    doubles.  Its terms are integers on the scale 2^-P, P placed 72 bits above
+    the leading term N*x^N/(4^n*N!), N = n + 1.  Every truncation goes into an
+    integer bound E in the same units, and the series stops once the
+    geometric bound on its tail (|mu_m| <= 2n + 2, the exponents lying in
+    [0, 1]) is at most E, which then doubles.  The sum is accepted once its
+    magnitude is at least 2^55*E, P growing by 64 bits up to four times until
+    it is, and is rounded to a double once: the result is within one unit in
+    the last place of |f|.  ``dps`` is validated but plays no part here.
+
+    Above 8 the series needs more terms and guard bits than the mpmath loop
+    costs, so the timings are recomputed at ``dps`` digits and the terms
+    summed as mpmath exponentials.  Before the final rounding to a double,
+    that loop's absolute error is at most E = (2n + 2)*(1 + |omega|*T)*10^-dps:
+    each of the 2n + 2 units of sum|c_j| carries the working-precision
+    rounding of its time and phase.  A magnitude at or below E is roundoff,
+    and raises :class:`PrecisionError`.
+
+    Either route raises :class:`PrecisionError` for a magnitude below the
+    smallest normal double, which has no double value, and at omega = 0,
+    where f vanishes.
     """
     if _count(n, "n") < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
+    if n > _MAX_ORDER:
+        raise InvalidInputError(f"order n > 2^27 = {_MAX_ORDER} is not supported")
+    if dps < 1:
+        raise InvalidInputError(f"dps must be >= 1, got {dps}")
     if not 0 < total_time < math.inf:
         raise InvalidInputError(f"total time must be finite and positive, got {total_time}")
     if not math.isfinite(omega):
         raise InvalidInputError(f"omega must be finite, got {omega}")
+    (w, a), (t, b) = float(omega).as_integer_ratio(), float(total_time).as_integer_ratio()
+    x, e = abs(w * t), (a * b).bit_length() - 1  # |omega*T| = x / 2^e exactly
+    if not x:
+        raise PrecisionError("|f| = 0 at omega = 0 lies below the double range")
+    if x > _SERIES_LIMIT << e:
+        return _loop_magnitude(n, total_time, omega, dps)
+    return _series_magnitude(n, x, e)
+
+
+# |omega*T| up to which uhrig_filter_magnitude sums the moment series.  Cold
+# costs per call, series against mpmath loop: 338 against 787 us at n = 8 and
+# omega*T = 8, 750 against 652 us at 16, and 3.6 against 0.68 ms at n = 4 and 30.
+_SERIES_LIMIT = 8
+# guard bits of the series above its leading term, and the step and cap by
+# which they grow while the sum cancels below 2^55 times its error bound
+_GUARD, _GUARD_STEP, _GUARD_MAX = 72, 64, 72 + 4 * 64
+
+
+def _series_magnitude(n: int, x: int, e: int) -> float:
+    """|f| at omega*T = x / 2^e, x > 0, from the moment series of
+    :func:`uhrig_filter_magnitude` in fixed point."""
+    N = n + 1
+    # log2 of the leading term 4N*(x/2^e)^N/(4^N*N!), which places P
+    lead = math.log2(4 * N) + N * (math.log2(x) - e - 2) - math.lgamma(N + 1) / math.log(2)
+    for guard in range(_GUARD, _GUARD_MAX + 1, _GUARD_STEP):
+        P = guard - math.floor(lead)
+        # r = floor(2^P*(x/2^e)^m/m!), less than d units below its true value
+        shift = P - e * N
+        if shift >= 0:
+            r = (x**N << shift) // math.factorial(N)
+        else:
+            r = x**N // (math.factorial(N) << -shift)
+        m, d, re, im, err = N, 1, 0, 0, 0
+        while True:
+            mu = _uhrig_moments(n, m)[0]  # 4^m*mu_m
+            term = mu * r >> 2 * m  # floor(mu_m*r): i^m sends it to +-re or +-im
+            term = -term if m & 2 else term
+            if m & 1:
+                im += term
+            else:
+                re += term
+            err += (abs(mu) * d >> 2 * m) + 2
+            # with x/(m + 2) <= 1/2 the terms beyond m sum to at most
+            # (2n + 2)*2*(r + d)*x/(m + 1) units: once that is at most err,
+            # doubling err covers them
+            if 2 * x <= m + 2 << e and (4 * n + 4) * (r + d) * x <= err * (m + 1) << e:
+                err *= 2
+                break
+            m += 1
+            r = r * x // (m << e)
+            d = -(-d * x // (m << e)) + 1
+        if re * re + im * im >= err * err << 110:
+            value = _magnitude(re, im, P)
+            if value < sys.float_info.min:
+                size = mpmath.nstr(mpmath.ldexp(mpmath.hypot(re, im), -P), 3)
+                raise PrecisionError(f"|f| = {size} lies below the double range")
+            return value
+    raise PrecisionError(f"the moment series of |f| cancels below its error bound at {P} bits")
+
+
+def _loop_magnitude(n: int, total_time: float, omega: float, dps: int) -> float:
+    """|f(omega)| from the sin^2 timings at ``dps`` digits and mpmath
+    exponentials: the route of :func:`uhrig_filter_magnitude` above 8."""
     d = _sin2(n, dps)
     with mp.workdps(dps):
         T = mpmath.mpf(total_time)

@@ -1,6 +1,8 @@
 import json
 import math
+import sys
 import time
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -210,11 +212,100 @@ def test_uhrig_filter_magnitude_resolves_tiny_values():
     assert ratio == pytest.approx(2.0 ** 5, rel=1e-3)
 
 
+def sin2_filter_magnitude(n, total_time, omega, digits=120):
+    """|f(omega)| summed in mpmath over the exact sin^2 timings, with the
+    precision raised by the digits that the order n + 1 zero cancels, so the
+    result keeps about ``digits`` significant digits.  It does not use the
+    moments of _uhrig_moments."""
+    x = abs(omega * total_time)
+    cancelled = (n + 1) * max(0.0, -math.log10(x)) + math.lgamma(n + 2) / math.log(10) + n
+    with mpmath.workdps(digits + int(cancelled) + 10):
+        T, w = mpmath.mpf(total_time), mpmath.mpf(omega)
+        d = [mpmath.sin(k * mpmath.pi / (2 * n + 2)) ** 2 for k in range(1, n + 1)]
+        times = [mpmath.mpf(0), *(T * x for x in d), T]
+        coeffs = [1, *(2 * (-1) ** k for k in range(1, n + 1)), -((-1) ** n)]
+        return abs(mpmath.fsum(c * mpmath.expj(t * w) for c, t in zip(coeffs, times)))
+
+
+def within_one_ulp(value, oracle):
+    return abs(value - oracle) <= math.ulp(value)
+
+
 @pytest.mark.parametrize("n", [12, 16, 20])
-def test_uhrig_filter_magnitude_raises_at_roundoff(n):
-    # at omega*T = 1e-3 these sit below (2n+2)*(1+|omega|*T)*10^-50
+def test_uhrig_filter_magnitude_resolves_below_the_loop_roundoff(n):
+    # at omega*T = 1e-3 these sit below the 50-digit loop's error bound
+    # (2n+2)*(1+|omega|*T)*10^-50; the moment series resolves them
+    oracle = sin2_filter_magnitude(n, 1.0, 1e-3, digits=200)
+    value = uhrig_filter_magnitude(n, 1.0, 1e-3, dps=50)
+    assert abs(value - oracle) <= 1e-13 * oracle
+
+
+def test_uhrig_filter_magnitude_baseline_case():
+    value = uhrig_filter_magnitude(16, 1.0, 0.01)
+    assert within_one_ulp(value, 1.1128083972369599e-57)
+
+
+# omega*T from 1e-8 up to the series' limit of 8
+SERIES_SPAN = [1e-8, 3e-6, 1e-3, 0.02, 0.3, 1.0, 2.5, 5.0, 7.9, 8.0]
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_uhrig_filter_magnitude_series_matches_sin2_oracle(n):
+    for i, x in enumerate(SERIES_SPAN):
+        T = (0.7, 1.0, 1.9)[(n + i) % 3]
+        omega = (-1) ** i * x / T
+        oracle = sin2_filter_magnitude(n, T, omega)
+        if oracle < sys.float_info.min:
+            with pytest.raises(PrecisionError, match="below the double range"):
+                uhrig_filter_magnitude(n, T, omega)
+        else:
+            value = uhrig_filter_magnitude(n, T, omega)
+            assert within_one_ulp(value, oracle), (n, T, omega, value, oracle)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 20])
+def test_uhrig_filter_magnitude_routes_agree_across_the_limit(n):
+    # both routes on either side of omega*T = 8; the loop at 60 digits
+    e = 20
+    for x in [7.5, 7.999, 8.0, 8.001, 9.0]:
+        series = dephasing._series_magnitude(n, round(x * 2**e), e)
+        loop = dephasing._loop_magnitude(n, 1.0, round(x * 2**e) / 2**e, 60)
+        assert series == pytest.approx(loop, rel=1e-14, abs=0)
+
+
+def test_uhrig_filter_magnitude_takes_the_loop_above_the_limit(monkeypatch):
+    routes = []
+    for name in ["_series_magnitude", "_loop_magnitude"]:
+        route = getattr(dephasing, name)
+        monkeypatch.setattr(dephasing, name,
+                            lambda *args, route=route, name=name: routes.append(name) or route(*args))
+    T = 0.7
+    # the route follows the exact product of the two doubles, not its rounding
+    below = max(w for w in [8.0 / T, math.nextafter(8.0 / T, 0.0)] if Fraction(w) * Fraction(T) <= 8)
+    above = math.nextafter(below, math.inf)
+    for omega in [below, -below, above, -8.5 / T]:
+        uhrig_filter_magnitude(3, T, omega)
+    assert routes == ["_series_magnitude"] * 2 + ["_loop_magnitude"] * 2
+
+
+def test_uhrig_filter_magnitude_series_adds_guard_bits_through_cancellation(monkeypatch):
+    # n = 1: f = (1 - e^{ix/2})^2 vanishes at x = 4*pi, so at the double
+    # nearest it the series cancels about 100 bits below its leading term
+    x = 4 * math.pi
+    oracle = sin2_filter_magnitude(1, 1.0, x)
+    assert oracle < 1e-29
+    e = 50
+    value = dephasing._series_magnitude(1, round(x * 2**e), e)
+    assert within_one_ulp(value, oracle)
+    monkeypatch.setattr(dephasing, "_GUARD_MAX", dephasing._GUARD)
+    with pytest.raises(PrecisionError, match="cancels"):
+        dephasing._series_magnitude(1, round(x * 2**e), e)
+
+
+@pytest.mark.parametrize("omega", [0.0, -0.0])
+def test_uhrig_filter_magnitude_at_zero_raises(omega):
     with pytest.raises(PrecisionError):
-        uhrig_filter_magnitude(n, 1.0, 1e-3, dps=50)
+        uhrig_filter_magnitude(4, 1.0, omega)
 
 
 # true values 1.0e-400 and 3.3e-330, resolved at these dps but below the
@@ -256,6 +347,13 @@ def test_uhrig_filter_magnitude_rejects_nonfinite(total_time, omega):
 def test_uhrig_filter_magnitude_rejects_nonpositive_digits():
     with pytest.raises(InvalidInputError):
         uhrig_filter_magnitude(4, 1.0, 1.0, dps=0)
+
+
+@pytest.mark.parametrize("omega", [1e-3, 20.0])
+def test_uhrig_filter_magnitude_rejects_nonpositive_digits_on_both_routes(omega):
+    for dps in [0, -5]:
+        with pytest.raises(InvalidInputError, match="dps"):
+            uhrig_filter_magnitude(4, 1.0, omega, dps=dps)
 
 
 # ---------------------------------------------------------------------------

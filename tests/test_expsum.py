@@ -778,6 +778,16 @@ def test_l1_non_dyadic_interval_matches_oracle(monkeypatch, g, lo, hi):
         assert max(widths) == 5  # levels with five distinct half-widths
 
 
+@pytest.mark.xfail(strict=True, reason="a zero of g at t = +-1.116208 lies 2.7e-6 inside "
+                   "the depth-10 panels ending at +-1.1162109375, beyond their last node, "
+                   "so K31 and G15 agree on the smooth branch and miss the kink of |g|")
+def test_l1_kink_beyond_the_last_node():
+    # the oracle is antisymmetric_l1's closed form, which scipy's quad over
+    # 20,000 pieces matches; l1_norm returns 15.046762928348627, off by 2.66e-9
+    value = l1_norm(unit_gap_sum(12), Interval.from_endpoints(-1.5, 1.5))
+    assert value == pytest.approx(15.04676293101318, abs=1e-10)
+
+
 L1_CASES = [(uhrig_sum(20), Interval(y=0.0, a=80.0)),
             (unit_gap_sum(12), Interval.from_endpoints(1 / 3, 3.2333)),
             (scaled_sum(0.6), Interval.from_endpoints(-1 / 3, 2.9))]
