@@ -37,16 +37,17 @@ mpmath computes once to a fixed-point precision chosen from an explicit
 error bound.
 
 :func:`uhrig_filter_magnitude` answers for the exact sin^2 construction
-instead of its stored times.  Up to |omega*T| = 8 it sums the moment series
-f = sum_{m > n} mu_m*(i*omega*T)^m/m! in fixed-point integers, from the exact
-moments of ``expsum._uhrig_moments`` and with an integer error bound; above
-that it sums mpmath exponentials over the timings recomputed at ``dps``
-digits.
+instead of its stored times, through the Bessel form |f| = 4N*|F_N(omega*T/2)|
+with F_N = sum_l (-1)^(l*N)*J_{(2l+1)N}, N = n + 1: its power series in
+fixed-point integers up to a crossover in omega*T, the N + 1 terms of the sum
+in mpmath above it, each at a precision worked out from its inputs and next
+to an error bound that certifies the result to one unit in the last place.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
@@ -60,10 +61,8 @@ import numpy as np
 from mpmath import mp
 
 from .errors import InvalidInputError, PrecisionError, _count
-from .expsum import (
-    ExpSum, _built_as, _f17, _magnitude, _on_one_scale, _uhrig_moments, vanishing_order,
-)
-from .sequences import _MAX_ORDER, PulseSequence, _coefficients, _sin2
+from .expsum import ExpSum, _built_as, _f17, _on_one_scale, vanishing_order
+from .sequences import _MAX_ORDER, PulseSequence, _coefficients
 
 __all__ = [
     "SpectralDensity",
@@ -125,36 +124,26 @@ def vanishing_order_filter(seq: PulseSequence, rel_tol: float = 1e-12) -> Option
 
 def uhrig_filter_magnitude(n: int, total_time: float, omega: float, dps: int = 50) -> float:
     """|f(omega)| of the exact n-pulse sin^2 sequence of duration T, not of
-    its stored double times.
+    its stored double times, which cannot resolve its (omega*T)^(n+1) size.
 
-    Near omega = 0 that filter is of size (omega*T)^(n+1), far below what
-    double-precision stored times can resolve (their rounding alone perturbs
-    the sum at relative 1e-16 of the term size).  Both routes below keep the
-    tiny true value, so log-log slope measurements stay clean.
+    With N = n + 1 the timings are T*(1 - cos(j*pi/N))/2, so by Jacobi-Anger
+    (DLMF 10.12.1) |f| = 4N*|F_N(omega*T/2)|, F_N = sum_{l >= 0} (-1)^(l*N)*
+    J_{(2l+1)N} real.  From |omega*T| = x/2^e, exact as the product of two
+    doubles, :func:`_bessel_series` sums it up to |omega*T| = 4N + 8 and
+    :func:`_direct_sum` above: the Bessel terms grow like e^(|omega*T|/2)
+    before they cancel, the direct terms cancel to (omega*T)^(n+1) near 0,
+    so each runs where it is cheaper.  From n = 65 on the series also stops
+    where it would cancel more than about 192 bits.
 
-    For |omega*T| <= 8 the sum is the moment series f = sum_{m > n}
-    mu_m*(i*x)^m/m! in fixed-point integers, with the exact moments mu_m of
-    ``expsum._uhrig_moments`` and x = omega*T exact as the product of two
-    doubles.  Its terms are integers on the scale 2^-P, P placed 72 bits above
-    the leading term N*x^N/(4^n*N!), N = n + 1.  Every truncation goes into an
-    integer bound E in the same units, and the series stops once the
-    geometric bound on its tail (|mu_m| <= 2n + 2, the exponents lying in
-    [0, 1]) is at most E, which then doubles.  The sum is accepted once its
-    magnitude is at least 2^55*E, P growing by 64 bits up to four times until
-    it is, and is rounded to a double once: the result is within one unit in
-    the last place of |f|.  ``dps`` is validated but plays no part here.
-
-    Above 8 the series needs more terms and guard bits than the mpmath loop
-    costs, so the timings are recomputed at ``dps`` digits and the terms
-    summed as mpmath exponentials.  Before the final rounding to a double,
-    that loop's absolute error is at most E = (2n + 2)*(1 + |omega|*T)*10^-dps:
-    each of the 2n + 2 units of sum|c_j| carries the working-precision
-    rounding of its time and phase.  A magnitude at or below E is roundoff,
-    and raises :class:`PrecisionError`.
-
-    Either route raises :class:`PrecisionError` for a magnitude below the
-    smallest normal double, which has no double value, and at omega = 0,
-    where f vanishes.
+    Each route works out its precision from n, omega*T and a number of guard
+    bits, next to a bound on its error.  The sum is accepted once its
+    magnitude is at least 2^55 times that bound, the guard growing by 64 bits
+    up to four times until it is, and is rounded to a double once: within
+    one unit in the last place of |f|.  ``dps`` is validated for
+    compatibility but plays no part.  A magnitude below the smallest normal
+    double (found at once where the DLMF 10.14.4 bound on |f| lies that low),
+    omega = 0, or a sum still short of 2^55 times its bound at the last guard
+    raises :class:`PrecisionError`.
     """
     if _count(n, "n") < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
@@ -170,80 +159,97 @@ def uhrig_filter_magnitude(n: int, total_time: float, omega: float, dps: int = 5
     x, e = abs(w * t), (a * b).bit_length() - 1  # |omega*T| = x / 2^e exactly
     if not x:
         raise PrecisionError("|f| = 0 at omega = 0 lies below the double range")
-    if x > _SERIES_LIMIT << e:
-        return _loop_magnitude(n, total_time, omega, dps)
-    return _series_magnitude(n, x, e)
+    N = n + 1
+    # log2 of y = |omega*T|/4, of y^N/N! and of |f| <= 4N*(4/3)*y^N/N!, which
+    # holds while y <= (N + 1)/2 (see _bessel_series)
+    log_y = math.log2(x) - e - 2
+    log_lead = N * log_y - math.lgamma(N + 1) / math.log(2)
+    log_f = math.log2(16 * N / 3) + log_lead
+    if log_y <= math.log2((N + 1) / 2) and log_f < math.log2(sys.float_info.min) - 4:
+        size = math.ceil(log_f * math.log10(2))
+        raise PrecisionError(f"|f| < 10^{size} lies below the double range")
+    # the bits the series cancels: its terms reach y^N/N! * e^(y^2/(N + 1)) at
+    # most, and |F_N| is about y^N/N!, or below 1 once that exceeds 1
+    route = _direct_sum
+    if x <= 4 * N + 8 << e and max(log_lead, 0) + 4**log_y / (N + 1) * math.log2(math.e) <= 192:
+        route = _bessel_series
+    for guard in range(_GUARD, _GUARD_MAX + 1, _GUARD_STEP):
+        value, bound, P = route(n, x, e, guard)
+        if abs(value) >= bound << 55:
+            break
+    else:
+        raise PrecisionError(f"|f| cancels below its error bound at {guard} guard bits")
+    magnitude = abs(value) / (1 << P) if P >= 0 else float(abs(value) << -P)  # one rounding
+    if magnitude < sys.float_info.min:
+        raise PrecisionError(f"|f| = {magnitude:.3g} lies below the double range")
+    return magnitude
 
 
-# |omega*T| up to which uhrig_filter_magnitude sums the moment series.  Cold
-# costs per call, series against mpmath loop: 338 against 787 us at n = 8 and
-# omega*T = 8, 750 against 652 us at 16, and 3.6 against 0.68 ms at n = 4 and 30.
-_SERIES_LIMIT = 8
-# guard bits of the series above its leading term, and the step and cap by
-# which they grow while the sum cancels below 2^55 times its error bound
+# guard bits of both routes of uhrig_filter_magnitude, their step and cap
 _GUARD, _GUARD_STEP, _GUARD_MAX = 72, 64, 72 + 4 * 64
 
 
-def _series_magnitude(n: int, x: int, e: int) -> float:
-    """|f| at omega*T = x / 2^e, x > 0, from the moment series of
-    :func:`uhrig_filter_magnitude` in fixed point."""
-    N = n + 1
-    # log2 of the leading term 4N*(x/2^e)^N/(4^N*N!), which places P
-    lead = math.log2(4 * N) + N * (math.log2(x) - e - 2) - math.lgamma(N + 1) / math.log(2)
-    for guard in range(_GUARD, _GUARD_MAX + 1, _GUARD_STEP):
-        P = guard - math.floor(lead)
-        # r = floor(2^P*(x/2^e)^m/m!), less than d units below its true value
-        shift = P - e * N
-        if shift >= 0:
-            r = (x**N << shift) // math.factorial(N)
-        else:
-            r = x**N // (math.factorial(N) << -shift)
-        m, d, re, im, err = N, 1, 0, 0, 0
+def _bessel_series(n: int, x: int, e: int, guard: int) -> tuple[int, int, int]:
+    """(S, B, P): the signed 4N*F_N(2y) of :func:`uhrig_filter_magnitude` at
+    y = x/2^E, E = e + 2, as an integer S on the scale 2^-P, P placing y^N/N!
+    ``guard`` bits above the unit, and an integer bound B on its error.
+
+    J_k(2y), k = (2l+1)N, sums the terms (-1)^m*y^(2m+k)/(m!(m+k)!): the
+    first is one floor division of exact integers, each next the floor of
+    the last times y^2/(m(m+k)), so a term r is below its value by less than
+    d units, d <- ceil(d*y^2/(m(m+k))) + 1 from 1.  It ends once r <= 1 and
+    the next ratio is at most 1/2, the alternating tail then being at most
+    r + d.  The orders end once k + 1 > 2y and the next leading term r is
+    below the bound: |J_k(2y)| <= y^k/k! (DLMF 10.14.4), and each further
+    order is at most 1/4 of the one before, so they add at most 2r + 2.
+    """
+    N, E, square = n + 1, e + 2, x * x
+    P = guard - math.floor(N * (math.log2(x) - E) - math.lgamma(N + 1) / math.log(2))
+    total = bound = 0
+    for k in itertools.count(N, 2 * N):
+        r = (x**k << max(P - E * k, 0)) // (math.factorial(k) << max(E * k - P, 0))
+        if k + 1 << E - 1 > x and r < bound:
+            bound += 2 * r + 2
+            break
+        m, d, part = 0, 1, 0
         while True:
-            mu = _uhrig_moments(n, m)[0]  # 4^m*mu_m
-            term = mu * r >> 2 * m  # floor(mu_m*r): i^m sends it to +-re or +-im
-            term = -term if m & 2 else term
-            if m & 1:
-                im += term
-            else:
-                re += term
-            err += (abs(mu) * d >> 2 * m) + 2
-            # with x/(m + 2) <= 1/2 the terms beyond m sum to at most
-            # (2n + 2)*2*(r + d)*x/(m + 1) units: once that is at most err,
-            # doubling err covers them
-            if 2 * x <= m + 2 << e and (4 * n + 4) * (r + d) * x <= err * (m + 1) << e:
-                err *= 2
+            part += -r if m & 1 else r
+            bound += d
+            if r <= 1 and 2 * square <= (m + 1) * (m + 1 + k) << 2 * E:
+                bound += r + d
                 break
             m += 1
-            r = r * x // (m << e)
-            d = -(-d * x // (m << e)) + 1
-        if re * re + im * im >= err * err << 110:
-            value = _magnitude(re, im, P)
-            if value < sys.float_info.min:
-                size = mpmath.nstr(mpmath.ldexp(mpmath.hypot(re, im), -P), 3)
-                raise PrecisionError(f"|f| = {size} lies below the double range")
-            return value
-    raise PrecisionError(f"the moment series of |f| cancels below its error bound at {P} bits")
+            r = r * square // (m * (m + k)) >> 2 * E
+            d = -(-d * square // (m * (m + k) << 2 * E)) + 1
+        total += -part if (k // N) & 2 and N & 1 else part  # (-1)^(l*N)
+    return 4 * N * total, 4 * N * bound, P
 
 
-def _loop_magnitude(n: int, total_time: float, omega: float, dps: int) -> float:
-    """|f(omega)| from the sin^2 timings at ``dps`` digits and mpmath
-    exponentials: the route of :func:`uhrig_filter_magnitude` above 8."""
-    d = _sin2(n, dps)
-    with mp.workdps(dps):
-        T = mpmath.mpf(total_time)
-        w = mpmath.mpf(omega)
-        times = [mpmath.mpf(0), *(T * x for x in d), T]
-        value = abs(mpmath.fsum(
-            (c * mpmath.exp(1j * t * w) for c, t in zip(_coefficients(n), times)),
-            absolute=False,
-        ))
-        factor = (2 * n + 2) * (1 + abs(omega * total_time))
-        if value * 10**dps <= factor:  # |f| <= E, with no 10^-dps to underflow
-            raise PrecisionError(f"|f| <= its error bound {factor:.3g}*10^-{dps}; raise dps")
-        if value < sys.float_info.min:
-            raise PrecisionError(f"|f| = {mpmath.nstr(value, 3)} lies below the double range")
-        return float(value)
+def _direct_sum(n: int, x: int, e: int, guard: int) -> tuple[int, int, int]:
+    """(S, B, P): +-|f| of :func:`uhrig_filter_magnitude` at omega*T = x/2^e
+    as an integer S on the scale 2^-P, and an integer bound B on its error.
+
+    Up to a phase f = sum_j c_j*e^(-i*z*cos(j*pi/N)), z = x/2^(e+1).  The
+    terms j and N - j pair up, so |f| = |sum_j c_j*trig(z*cos(j*pi/N))| with
+    trig = cos for even N and sin for odd N, where those two terms are equal:
+    the sum takes j <= N/2, with weight 2 but for a middle term.  At P bits,
+    u = 2^-P, and with mpmath's cospi, cos and sin within one unit in the
+    last place, z and the product each add u*z and j/N and cospi
+    (pi + 2)*u*z to a phase, and the trig function 2u to a term, which is
+    then truncated to an integer (one unit).  With sum_j |c_j| = 2N the
+    error is at most 2N*(9z + 3)*u <= 10N*(1 + omega*T)*u, that is B units,
+    and P is ``guard`` bits above B.
+    """
+    N = n + 1
+    bound = -(-10 * N * ((1 << e) + x) >> e)
+    P = guard + bound.bit_length()
+    trig = mpmath.cos if N % 2 == 0 else mpmath.sin
+    with mp.workprec(P):
+        z = mpmath.ldexp(x, -e - 1)
+        value = sum((1 if 2 * j == N else 2) * int(c)
+                    * int(mpmath.ldexp(trig(z * mpmath.cospi(mpmath.mpf(j) / N)), P))
+                    for j, c in zip(range(N // 2 + 1), _coefficients(n)))
+    return value, bound, P
 
 
 @dataclass(frozen=True)

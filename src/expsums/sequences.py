@@ -15,9 +15,9 @@ stretches the exponents to 9/b^2 * d_k so that consecutive gaps are at least
 1, and ``unit_gap_sum`` normalizes by the first fraction (exponents d_k/d_1)
 to the same effect.
 
-Every builder here and in :mod:`expsums.dephasing` takes the fractions from
-``_sin2`` (floats, or mpf at any precision) and the coefficients from
-``_coefficients``.  The sums and ``uhrig_pulse_times`` record (n, scale), so
+Every builder here takes the fractions from ``_sin2`` (floats) and the
+coefficients from ``_coefficients``; :mod:`expsums.dephasing` takes the
+coefficients too.  The sums and ``uhrig_pulse_times`` record (n, scale), so
 ``vanishing_order`` can use the exact moments of the construction
 (``expsum._uhrig_moments``, dyadic rationals in closed form) instead of the
 rounded fractions, as ``alternating_power_sum`` does.  :class:`PulseSequence`
@@ -27,7 +27,6 @@ round.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -67,22 +66,14 @@ def _require_even_positive(n: int) -> None:
         raise InvalidInputError(f"n must be an even integer >= 2, got {n}")
 
 
-def _sin2(n: int, dps: Optional[int] = None) -> list:
-    """The fractions sin^2(k*pi/(2n+2)), k = 1..n, computed directly as sin^2
-    (no cancellation): Python floats from ``math.sin``, or mpf values at
-    ``dps`` significant digits.  An order above 2^27 is rejected before any
-    list is built."""
+def _sin2(n: int) -> list:
+    """The fractions sin^2(k*pi/(2n+2)), k = 1..n, as Python floats computed
+    directly as sin^2 (no cancellation).  An order above 2^27 is rejected
+    before any list is built."""
     if n > _MAX_ORDER:
         raise InvalidInputError(f"order n > 2^27 = {_MAX_ORDER}: the sin^2 fractions "
                                 "would not be distinct doubles")
-    if dps is None:
-        sin, pi, context = math.sin, math.pi, contextlib.nullcontext()
-    elif dps < 1:
-        raise InvalidInputError(f"dps must be >= 1, got {dps}")
-    else:
-        sin, pi, context = mpmath.sin, mpmath.pi, mp.workdps(dps)
-    with context:
-        return [sin(k * pi / (2 * n + 2)) ** 2 for k in range(1, n + 1)]
+    return [math.sin(k * math.pi / (2 * n + 2)) ** 2 for k in range(1, n + 1)]
 
 
 def _coefficients(n: int) -> tuple[float, ...]:

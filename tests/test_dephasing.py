@@ -263,29 +263,60 @@ def test_uhrig_filter_magnitude_series_matches_sin2_oracle(n):
             assert within_one_ulp(value, oracle), (n, T, omega, value, oracle)
 
 
+def crossover(n):
+    """omega*T up to which uhrig_filter_magnitude takes the Bessel series."""
+    return 4 * (n + 1) + 8
+
+
+def route_magnitude(route, n, omega_t):
+    """|f| from one route of uhrig_filter_magnitude, at the first guard whose
+    sum clears 2^55 times its bound."""
+    x, e = omega_t.as_integer_ratio()
+    for guard in range(dephasing._GUARD, dephasing._GUARD_MAX + 1, dephasing._GUARD_STEP):
+        value, bound, P = route(n, x, e.bit_length() - 1, guard)
+        if abs(value) >= bound << 55:
+            return math.ldexp(abs(value), -P)
+    raise AssertionError(f"{route.__name__} cancels at n = {n}, omega*T = {omega_t}")
+
+
+@pytest.mark.parametrize("route", ["_bessel_series", "_direct_sum"])
+def test_uhrig_filter_magnitude_routes_stay_within_their_bounds(route):
+    # with 4 guard bits the rounding errors are a visible share of the bound
+    for n in [1, 2, 5, 8, 13]:
+        for omega_t in [0.3, 5.0, 4 * math.pi, 30.0]:
+            x, e = omega_t.as_integer_ratio()
+            value, bound, P = getattr(dephasing, route)(n, x, e.bit_length() - 1, 4)
+            oracle = mpmath.ldexp(sin2_filter_magnitude(n, 1.0, omega_t), P)
+            assert abs(abs(value) - oracle) <= bound, (n, omega_t)
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 13, 20])
 def test_uhrig_filter_magnitude_routes_agree_across_the_limit(n):
-    # both routes on either side of omega*T = 8; the loop at 60 digits
-    e = 20
-    for x in [7.5, 7.999, 8.0, 8.001, 9.0]:
-        series = dephasing._series_magnitude(n, round(x * 2**e), e)
-        loop = dephasing._loop_magnitude(n, 1.0, round(x * 2**e) / 2**e, 60)
-        assert series == pytest.approx(loop, rel=1e-14, abs=0)
+    # both routes on either side of the crossover 4(n + 1) + 8
+    limit = crossover(n)
+    for x in [limit - 0.5, limit - 0.001, limit, limit + 0.001, limit + 1.0]:
+        series = route_magnitude(dephasing._bessel_series, n, x)
+        direct = route_magnitude(dephasing._direct_sum, n, x)
+        assert series == pytest.approx(direct, rel=1e-14, abs=0)
 
 
 def test_uhrig_filter_magnitude_takes_the_loop_above_the_limit(monkeypatch):
     routes = []
-    for name in ["_series_magnitude", "_loop_magnitude"]:
+    for name in ["_bessel_series", "_direct_sum"]:
         route = getattr(dephasing, name)
         monkeypatch.setattr(dephasing, name,
                             lambda *args, route=route, name=name: routes.append(name) or route(*args))
     T = 0.7
     # the route follows the exact product of the two doubles, not its rounding
-    below = max(w for w in [8.0 / T, math.nextafter(8.0 / T, 0.0)] if Fraction(w) * Fraction(T) <= 8)
+    limit = crossover(3)
+    below = max(w for w in [limit / T, math.nextafter(limit / T, 0.0)]
+                if Fraction(w) * Fraction(T) <= limit)
     above = math.nextafter(below, math.inf)
-    for omega in [below, -below, above, -8.5 / T]:
-        uhrig_filter_magnitude(3, T, omega)
-    assert routes == ["_series_magnitude"] * 2 + ["_loop_magnitude"] * 2
+    # 0.75 * 32 is the crossover itself, exactly
+    cases = [(0.75, limit / 0.75), (T, below), (T, -below), (T, above), (T, -(limit + 0.5) / T)]
+    for total_time, omega in cases:
+        uhrig_filter_magnitude(3, total_time, omega)
+    assert routes == ["_bessel_series"] * 3 + ["_direct_sum"] * 2
 
 
 def test_uhrig_filter_magnitude_series_adds_guard_bits_through_cancellation(monkeypatch):
@@ -294,12 +325,61 @@ def test_uhrig_filter_magnitude_series_adds_guard_bits_through_cancellation(monk
     x = 4 * math.pi
     oracle = sin2_filter_magnitude(1, 1.0, x)
     assert oracle < 1e-29
-    e = 50
-    value = dephasing._series_magnitude(1, round(x * 2**e), e)
+    assert x < crossover(1)
+    value = uhrig_filter_magnitude(1, 1.0, x)
     assert within_one_ulp(value, oracle)
     monkeypatch.setattr(dephasing, "_GUARD_MAX", dephasing._GUARD)
     with pytest.raises(PrecisionError, match="cancels"):
-        dephasing._series_magnitude(1, round(x * 2**e), e)
+        uhrig_filter_magnitude(1, 1.0, x)
+
+
+# omega*T from above the old limit of 8 to 1000, across every crossover
+# 4(n + 1) + 8 of the orders below
+WIDE_SPAN = [12.0, 4 * math.pi, 15.9, 16.0, 16.5, 30.0, 100.0, 333.0, 1000.0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 20, 40])
+def test_uhrig_filter_magnitude_direct_sum_matches_sin2_oracle(n):
+    for i, x in enumerate(WIDE_SPAN):
+        T = (0.7, 1.0, 1.9)[(n + i) % 3]
+        omega = (-1) ** i * x / T
+        value = uhrig_filter_magnitude(n, T, omega)
+        assert within_one_ulp(value, sin2_filter_magnitude(n, T, omega)), (n, T, omega, value)
+
+
+@pytest.mark.parametrize("n, omega_t", [(4, 1e-3), (1, 4 * math.pi), (4, 100.0), (1, 8 * math.pi)])
+def test_uhrig_filter_magnitude_ignores_dps(n, omega_t):
+    # the Bessel series, then the direct sum, each once near a zero of f
+    values = {uhrig_filter_magnitude(n, 1.0, omega_t, dps=dps) for dps in [1, 7, 50, 500]}
+    assert len(values) == 1
+
+
+def test_uhrig_filter_magnitude_direct_sum_adds_guard_bits_at_a_zero(monkeypatch):
+    # n = 1: |f| = 4*sin^2(omega*T/4), so the zero above the crossover 16 is
+    # 8*pi, a double zero: at the double nearest it |f| is about 2e-30
+    root = mpmath.findroot(lambda x: mpmath.sin(x / 4), 25)
+    x = float(root)
+    assert x == 8 * math.pi > crossover(1)
+    oracle = sin2_filter_magnitude(1, 1.0, x)
+    assert oracle < 1e-29
+    guards = []
+    route = dephasing._direct_sum
+    monkeypatch.setattr(dephasing, "_direct_sum",
+                        lambda *args: guards.append(args[-1]) or route(*args))
+    assert within_one_ulp(uhrig_filter_magnitude(1, 1.0, x), oracle)
+    assert len(guards) > 1 and guards[0] == dephasing._GUARD
+    monkeypatch.setattr(dephasing, "_GUARD_MAX", dephasing._GUARD)
+    with pytest.raises(PrecisionError, match="cancels"):
+        uhrig_filter_magnitude(1, 1.0, x)
+
+
+@pytest.mark.parametrize("n", [100_000, 2**27])
+def test_uhrig_filter_magnitude_large_order_below_double_range_is_immediate(n):
+    # |f| <= 4N*(4/3)*y^N/N! (DLMF 10.14.4) decides this before any big integer
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError, match=r"below the double range"):
+        uhrig_filter_magnitude(n, 1.0, 1e-3)
+    assert time.perf_counter() - start < 1.0
 
 
 @pytest.mark.parametrize("omega", [0.0, -0.0])
@@ -349,7 +429,7 @@ def test_uhrig_filter_magnitude_rejects_nonpositive_digits():
         uhrig_filter_magnitude(4, 1.0, 1.0, dps=0)
 
 
-@pytest.mark.parametrize("omega", [1e-3, 20.0])
+@pytest.mark.parametrize("omega", [1e-3, 100.0])
 def test_uhrig_filter_magnitude_rejects_nonpositive_digits_on_both_routes(omega):
     for dps in [0, -5]:
         with pytest.raises(InvalidInputError, match="dps"):
