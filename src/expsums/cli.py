@@ -97,14 +97,14 @@ def cmd_uhrig(args) -> int:
 
 
 def cmd_verify_multiplicity(args) -> int:
-    order = vanishing_order(uhrig_sum(args.n), rel_tol=args.tol)
+    order = vanishing_order(uhrig_sum(args.n))
     expected = args.n + 1
     rows = []
     for m in range(order + 1):  # |g^(m)(0)| = |mu_m| and its bound S_m, exact
         mu, s = _uhrig_moments(args.n, m)
         rows.append((m, abs(mu) / 4**m, s / 4**m, abs(mu) / s))
     _write(args, ("m", "value", "bound", "relative"), rows, lambda records: {
-        "n": args.n, "rel_tol": args.tol, "order": order, "expected": expected,
+        "n": args.n, "order": order, "expected": expected,
         "residuals": records,
     })
     print(f"order={order} expected={expected}", file=sys.stderr)
@@ -207,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="order of the constructed zero at t = 0",
     )
     p.add_argument("--n", type=int, required=True, help="even construction order")
-    p.add_argument("--tol", type=float, default=1e-12, help="relative tolerance")
     p.set_defaults(func=cmd_verify_multiplicity)
 
     p = sub.add_parser(

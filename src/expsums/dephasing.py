@@ -40,8 +40,8 @@ error bound.
 instead of its stored times, through the Bessel form |f| = 4N*|F_N(omega*T/2)|
 with F_N = sum_l (-1)^(l*N)*J_{(2l+1)N}, N = n + 1: its power series in
 fixed-point integers up to a crossover in omega*T, the N + 1 terms of the sum
-in mpmath above it, each at a precision worked out from its inputs and next
-to an error bound that certifies the result to one unit in the last place.
+in mpmath above it, each at a precision raised from its own shortfall until
+an error bound certifies the result to one unit in the last place.
 """
 
 from __future__ import annotations
@@ -132,18 +132,17 @@ def uhrig_filter_magnitude(n: int, total_time: float, omega: float, dps: int = 5
     doubles, :func:`_bessel_series` sums it up to |omega*T| = 4N + 8 and
     :func:`_direct_sum` above: the Bessel terms grow like e^(|omega*T|/2)
     before they cancel, the direct terms cancel to (omega*T)^(n+1) near 0,
-    so each runs where it is cheaper.  From n = 65 on the series also stops
-    where it would cancel more than about 192 bits.
+    so each runs where it is cheaper.  From n = 65 on the direct sum also
+    runs where the series would cancel more than about 192 bits, a cost guard.
 
     Each route works out its precision from n, omega*T and a number of guard
-    bits, next to a bound on its error.  The sum is accepted once its
-    magnitude is at least 2^55 times that bound, the guard growing by 64 bits
-    up to four times until it is, and is rounded to a double once: within
-    one unit in the last place of |f|.  ``dps`` is validated for
-    compatibility but plays no part.  A magnitude below the smallest normal
-    double (found at once where the DLMF 10.14.4 bound on |f| lies that low),
-    omega = 0, or a sum still short of 2^55 times its bound at the last guard
-    raises :class:`PrecisionError`.
+    bits, next to a bound B on its error.  The sum S is accepted once |S| is
+    at least 2^55*B, and is rounded to a double once: within one unit in the
+    last place of |f|.  Short of that, the guard grows by the bits |S| lacks,
+    or doubles where |S| <= B, until B alone puts |f| below 2^-1022.  ``dps``
+    is validated for compatibility but plays no part.  A magnitude below the
+    smallest normal double (found at once where the DLMF 10.14.4 bound on |f|
+    lies that low) or omega = 0 raises :class:`PrecisionError`.
     """
     if _count(n, "n") < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
@@ -168,25 +167,29 @@ def uhrig_filter_magnitude(n: int, total_time: float, omega: float, dps: int = 5
     if log_y <= math.log2((N + 1) / 2) and log_f < math.log2(sys.float_info.min) - 4:
         size = math.ceil(log_f * math.log10(2))
         raise PrecisionError(f"|f| < 10^{size} lies below the double range")
-    # the bits the series cancels: its terms reach y^N/N! * e^(y^2/(N + 1)) at
-    # most, and |F_N| is about y^N/N!, or below 1 once that exceeds 1
+    # a cost guard on the bits the series cancels: its terms reach at most
+    # y^N/N!*e^(y^2/(N + 1)), and |F_N| is about y^N/N!, or below 1 past 1
     route = _direct_sum
     if x <= 4 * N + 8 << e and max(log_lead, 0) + 4**log_y / (N + 1) * math.log2(math.e) <= 192:
         route = _bessel_series
-    for guard in range(_GUARD, _GUARD_MAX + 1, _GUARD_STEP):
+    guard = _GUARD
+    while True:
         value, bound, P = route(n, x, e, guard)
         if abs(value) >= bound << 55:
             break
-    else:
-        raise PrecisionError(f"|f| cancels below its error bound at {guard} guard bits")
+        size = (bound << 56).bit_length() - P  # |f| < (|S| + B)/2^P < 2^size
+        if size <= -1022:
+            raise PrecisionError(f"|f| < 2^{size} lies below the double range")
+        shortfall = (bound << 55).bit_length() - abs(value).bit_length() + 1  # bits |S| lacks
+        guard += shortfall if abs(value) > bound else guard  # doubled while S is noise
     magnitude = abs(value) / (1 << P) if P >= 0 else float(abs(value) << -P)  # one rounding
     if magnitude < sys.float_info.min:
         raise PrecisionError(f"|f| = {magnitude:.3g} lies below the double range")
     return magnitude
 
 
-# guard bits of both routes of uhrig_filter_magnitude, their step and cap
-_GUARD, _GUARD_STEP, _GUARD_MAX = 72, 64, 72 + 4 * 64
+# guard bits of the first pass of both routes of uhrig_filter_magnitude
+_GUARD = 72
 
 
 def _bessel_series(n: int, x: int, e: int, guard: int) -> tuple[int, int, int]:

@@ -191,7 +191,7 @@ def _values_on_panels(ilam, coefficients, mid, halfwidth, nodes) -> np.ndarray:
 
 def derivative(g: ExpSum, m: int) -> ExpSum:
     """m-th derivative: coefficients become a_j*(i*lambda_j)^m, exponents unchanged."""
-    if m < 0:
+    if _count(m, "derivative order") < 0:
         raise InvalidInputError(f"derivative order must be nonnegative, got {m}")
     if m == 0:
         return g
@@ -286,7 +286,7 @@ def derivative_magnitudes(
     Exact at t0 = 0, where ``dps`` has no effect; elsewhere ``dps`` digits (at
     least 30 + 2n) bound the error, see :func:`_magnitudes_up_to`.
     """
-    if max_order < 0:
+    if _count(max_order, "max_order") < 0:
         raise InvalidInputError(f"max_order must be nonnegative, got {max_order}")
     return list(_magnitudes_up_to(g, t0, max_order, dps))
 
@@ -350,6 +350,8 @@ def vanishing_order(
         raise InvalidInputError(f"rel_tol must lie in (0, 1e-3), got {rel_tol}")
     if m_max is None:
         m_max = 2 * len(g) + 8
+    if _count(m_max, "m_max") < 0:
+        raise InvalidInputError(f"m_max must be nonnegative, got {m_max}")
     if g._uhrig is not None and t0 == 0:
         n = g._uhrig[0]
         return next((m for m in range(m_max + 1) if _uhrig_moments(n, m)[0]), None)
@@ -451,10 +453,18 @@ def sup_norm(g: ExpSum, interval: Interval, grid_points: Optional[int] = None) -
     grid_points = _count(grid_points, "grid_points")
     if grid_points < 16:
         raise InvalidInputError(f"grid_points must be >= 16, got {grid_points}")
+    coefficients, lam = np.array(g.coefficients), _real_exponents(g)
+    # |g| and |g''| stay within these sums, |g'|^2 within their product
+    # (Cauchy-Schwarz); the search forms |g'|^2 and |g*g''|, and the factor 4
+    # leaves room for their roundings
+    weights = [abs(a) for a in g.coefficients]
+    size = sum(weights)
+    curvature = sum(w * x * x for w, x in zip(weights, lam.tolist()))
+    if not math.isfinite(4 * size * (1 + curvature)):
+        raise PrecisionError(f"|g|, |g'|^2 and |g*g''| overflow their double bounds: "
+                             f"sum |a_j| = {size:.3g}, sum |a_j|*lambda_j^2 = {curvature:.3g}")
     ts = np.linspace(interval.left, interval.right, grid_points)
     vals = np.abs(_values_on_grid(g, ts))
-
-    coefficients, lam = np.array(g.coefficients), _real_exponents(g)
     rotations = 1j * lam
 
     def f(t: float) -> tuple[complex, complex, complex]:
@@ -483,9 +493,9 @@ def sup_norm(g: ExpSum, interval: Interval, grid_points: Optional[int] = None) -
         value = abs(evaluate(g, arg))
         if value > best_value:
             best_value, best_arg = value, arg
-    # h * derivative_sup_bound(g, 1), bit for bit: where the fsum overflows,
-    # |g'|^2 in _slope has overflowed first
-    slack = h * math.fsum([abs(a) * abs(x) for a, x in zip(g.coefficients, lam.tolist())])
+    # h * derivative_sup_bound(g, 1), bit for bit; the check above keeps the
+    # fsum in range
+    slack = h * math.fsum([w * abs(x) for w, x in zip(weights, lam.tolist())])
     return SupNormResult(value=best_value, argmax=best_arg, slack=slack)
 
 

@@ -86,11 +86,20 @@ def test_verify_multiplicity_rejects_odd(capsys):
     assert code == 2
 
 
+def test_verify_multiplicity_has_no_tol_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-multiplicity", "--n", "10", "--tol", "1e-12"])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "0.5", "nan"])
 def test_verify_multiplicity_rejects_bad_tolerance(capsys, tol):
-    code, out, err = run(capsys, "verify-multiplicity", "--n", "4", "--tol", tol)
-    assert code == 2
-    assert out == "" and "rel_tol" in err
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-multiplicity", "--n", "4", "--tol", tol])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tol" in captured.err
 
 
 def test_verify_multiplicity_n24_reports_no_wrong_order(capsys):

@@ -212,13 +212,15 @@ def test_uhrig_filter_magnitude_resolves_tiny_values():
     assert ratio == pytest.approx(2.0 ** 5, rel=1e-3)
 
 
-def sin2_filter_magnitude(n, total_time, omega, digits=120):
+def sin2_filter_magnitude(n, total_time, omega, digits=120, cancelled=None):
     """|f(omega)| summed in mpmath over the exact sin^2 timings, with the
-    precision raised by the digits that the order n + 1 zero cancels, so the
-    result keeps about ``digits`` significant digits.  It does not use the
-    moments of _uhrig_moments."""
+    precision raised by the digits that the order n + 1 zero cancels (or by
+    ``cancelled`` digits, where the caller knows better), so the result keeps
+    about ``digits`` significant digits.  It does not use the moments of
+    _uhrig_moments."""
     x = abs(omega * total_time)
-    cancelled = (n + 1) * max(0.0, -math.log10(x)) + math.lgamma(n + 2) / math.log(10) + n
+    if cancelled is None:
+        cancelled = (n + 1) * max(0.0, -math.log10(x)) + math.lgamma(n + 2) / math.log(10) + n
     with mpmath.workdps(digits + int(cancelled) + 10):
         T, w = mpmath.mpf(total_time), mpmath.mpf(omega)
         d = [mpmath.sin(k * mpmath.pi / (2 * n + 2)) ** 2 for k in range(1, n + 1)]
@@ -269,14 +271,12 @@ def crossover(n):
 
 
 def route_magnitude(route, n, omega_t):
-    """|f| from one route of uhrig_filter_magnitude, at the first guard whose
-    sum clears 2^55 times its bound."""
-    x, e = omega_t.as_integer_ratio()
-    for guard in range(dephasing._GUARD, dephasing._GUARD_MAX + 1, dephasing._GUARD_STEP):
-        value, bound, P = route(n, x, e.bit_length() - 1, guard)
-        if abs(value) >= bound << 55:
-            return math.ldexp(abs(value), -P)
-    raise AssertionError(f"{route.__name__} cancels at n = {n}, omega*T = {omega_t}")
+    """|f| from uhrig_filter_magnitude at T = 1 with ``route`` taken on both
+    sides of the crossover, under the function's own guard rule."""
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ["_bessel_series", "_direct_sum"]:
+            patch.setattr(dephasing, name, route)
+        return uhrig_filter_magnitude(n, 1.0, omega_t)
 
 
 @pytest.mark.parametrize("route", ["_bessel_series", "_direct_sum"])
@@ -319,6 +319,14 @@ def test_uhrig_filter_magnitude_takes_the_loop_above_the_limit(monkeypatch):
     assert routes == ["_bessel_series"] * 3 + ["_direct_sum"] * 2
 
 
+def recorded_guards(monkeypatch, name):
+    """The guards of the calls to the route ``name``, as they are made."""
+    guards = []
+    route = getattr(dephasing, name)
+    monkeypatch.setattr(dephasing, name, lambda *args: guards.append(args[-1]) or route(*args))
+    return guards
+
+
 def test_uhrig_filter_magnitude_series_adds_guard_bits_through_cancellation(monkeypatch):
     # n = 1: f = (1 - e^{ix/2})^2 vanishes at x = 4*pi, so at the double
     # nearest it the series cancels about 100 bits below its leading term
@@ -326,11 +334,9 @@ def test_uhrig_filter_magnitude_series_adds_guard_bits_through_cancellation(monk
     oracle = sin2_filter_magnitude(1, 1.0, x)
     assert oracle < 1e-29
     assert x < crossover(1)
-    value = uhrig_filter_magnitude(1, 1.0, x)
-    assert within_one_ulp(value, oracle)
-    monkeypatch.setattr(dephasing, "_GUARD_MAX", dephasing._GUARD)
-    with pytest.raises(PrecisionError, match="cancels"):
-        uhrig_filter_magnitude(1, 1.0, x)
+    guards = recorded_guards(monkeypatch, "_bessel_series")
+    assert within_one_ulp(uhrig_filter_magnitude(1, 1.0, x), oracle)
+    assert 1 < len(guards) <= 3 and guards[0] == dephasing._GUARD
 
 
 # omega*T from above the old limit of 8 to 1000, across every crossover
@@ -362,15 +368,32 @@ def test_uhrig_filter_magnitude_direct_sum_adds_guard_bits_at_a_zero(monkeypatch
     assert x == 8 * math.pi > crossover(1)
     oracle = sin2_filter_magnitude(1, 1.0, x)
     assert oracle < 1e-29
-    guards = []
-    route = dephasing._direct_sum
-    monkeypatch.setattr(dephasing, "_direct_sum",
-                        lambda *args: guards.append(args[-1]) or route(*args))
+    guards = recorded_guards(monkeypatch, "_direct_sum")
     assert within_one_ulp(uhrig_filter_magnitude(1, 1.0, x), oracle)
-    assert len(guards) > 1 and guards[0] == dephasing._GUARD
-    monkeypatch.setattr(dephasing, "_GUARD_MAX", dephasing._GUARD)
-    with pytest.raises(PrecisionError, match="cancels"):
-        uhrig_filter_magnitude(1, 1.0, x)
+    assert 1 < len(guards) <= 3 and guards[0] == dephasing._GUARD
+
+
+@pytest.mark.parametrize("omega_t, magnitude", [(1300.0, 6.050551033701285e-102),
+                                                (1400.0, 3.854683312105644e-78)])
+def test_uhrig_filter_magnitude_resolves_large_order_cancellation(omega_t, magnitude):
+    # at n = 1000 the Bessel series stays below its bound up to 288 guard bits
+    # here; the 1002 direct terms are at most 2 each, so the oracle's sum
+    # cancels log10(2002/|f|) < 110 digits
+    oracle = sin2_filter_magnitude(1000, 1.0, omega_t, digits=170, cancelled=110)
+    value = uhrig_filter_magnitude(1000, 1.0, omega_t)
+    assert value == magnitude and within_one_ulp(value, oracle)
+
+
+def test_uhrig_filter_magnitude_stops_below_the_double_range_without_signal(monkeypatch):
+    # a sum that stays 0 within B = 1 unit of 2^-guard doubles its guard until
+    # that bound alone puts |f| below 2^-1022, and no longer
+    guards = []
+    for name in ["_bessel_series", "_direct_sum"]:
+        monkeypatch.setattr(dephasing, name, lambda n, x, e, guard: guards.append(guard) or (0, 1, guard))
+    with pytest.raises(PrecisionError, match="below the double range"):
+        uhrig_filter_magnitude(3, 1.0, 5.0)
+    assert guards[0] == dephasing._GUARD and all(b >= 2 * a for a, b in zip(guards, guards[1:]))
+    assert 57 - guards[-1] <= -1022 < 57 - guards[-2]
 
 
 @pytest.mark.parametrize("n", [100_000, 2**27])

@@ -181,6 +181,18 @@ def test_derivative_sup_bound_rejects_non_integer_order():
         derivative_sup_bound(TWO_TERM, 1.5)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: derivative(TWO_TERM, 0.5),
+    lambda: derivative_magnitudes(TWO_TERM, 0.0, 2.0),
+    lambda: vanishing_order(TWO_TERM, m_max=7.0),
+    lambda: vanishing_order(TWO_TERM, m_max=-3),
+    lambda: vanishing_order(uhrig_sum(4), m_max=-3),
+], ids=["derivative-0.5", "magnitudes-2.0", "m_max-7.0", "m_max--3", "uhrig-m_max--3"])
+def test_orders_must_be_nonnegative_integers(call):
+    with pytest.raises(InvalidInputError):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # vanishing order
 
@@ -424,6 +436,15 @@ def test_sup_norm_rejects_non_integer_grid_points():
         with pytest.raises(InvalidInputError):
             sup_norm(ONE, Interval(y=0.0, a=1.0), grid_points=points)
     assert sup_norm(ONE, Interval(y=0.0, a=1.0), grid_points=np.int64(32)).value == 1.0
+
+
+@pytest.mark.parametrize("g, points", [(ExpSum((1e308, -1e308), (0.0, 3.0)), None),
+                                       (ExpSum((1e200, -1e200), (0.0, 1e60)), 64)])
+def test_sup_norm_raises_before_the_scan_past_the_double_range(g, points):
+    # sum |a_j| and then sum |a_j|*lambda_j^2 overflow; the suite turns the
+    # scan's overflow warnings into errors, so none may be reached
+    with pytest.raises(PrecisionError, match="overflow"):
+        sup_norm(g, Interval(y=0.0, a=1.0), grid_points=points)
 
 
 def test_sup_norm_rejects_interval_with_overflowing_right_end():
