@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -98,27 +98,26 @@ class EnvelopeCheck:
     passes: bool
 
 
-def check_taylor_envelope(a: float, grid_points: Optional[int] = None) -> EnvelopeCheck:
+def check_taylor_envelope(a: float) -> EnvelopeCheck:
     """Compare the scaled construction's maximum on [-a, a] with the Taylor envelope.
 
-    Uses b = 9a, so the scan interval [-a, a] is exactly [-b/9, b/9].
+    Uses b = 9a, so the interval [-a, a] is exactly [-b/9, b/9].
     """
     if not 0 < a <= 1.0 / 3.0:
         raise InvalidInputError(f"a must lie in (0, 1/3], got {a}")
     b = 9.0 * a
-    return _check(a, scaled_sum(b), scaled_sum_order(b), taylor_envelope_b(b), grid_points)
+    return _check(a, scaled_sum(b), scaled_sum_order(b), taylor_envelope_b(b))
 
 
-def check_stirling_envelope(a: float, grid_points: Optional[int] = None) -> EnvelopeCheck:
+def check_stirling_envelope(a: float) -> EnvelopeCheck:
     """Compare the unit-gap construction's maximum on [-a, a] with the Stirling envelope."""
     n = unit_gap_order_for_radius(a)
-    return _check(a, unit_gap_sum(n), n, stirling_envelope(a), grid_points)
+    return _check(a, unit_gap_sum(n), n, stirling_envelope(a))
 
 
-def _check(a: float, g: ExpSum, order: int, envelope: float,
-           grid_points: Optional[int]) -> EnvelopeCheck:
-    """The maximum of g on [-a, a] against the envelope."""
-    value = sup_norm(g, Interval(y=-a, a=2 * a), grid_points=grid_points).value
+def _check(a: float, g: ExpSum, order: int, envelope: float) -> EnvelopeCheck:
+    """The construction g's maximum on [-a, a], z* <= N, against the envelope."""
+    value = sup_norm(g, Interval(y=-a, a=2 * a)).value
     return EnvelopeCheck(a=a, order=order, achieved_max=value, envelope=envelope,
                          passes=value <= envelope)
 

@@ -32,8 +32,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import bounds, dephasing, sequences
+from .construction import _uhrig_moments
 from .errors import InvalidInputError, PrecisionError, QuadratureError
-from .expsum import Interval, _f17, _uhrig_moments, vanishing_order
+from .expsum import Interval, _f17, vanishing_order
 from .sequences import scaled_sum, uhrig_sum
 
 EXIT_OK = 0
@@ -117,7 +118,7 @@ def cmd_bounds_scan(args) -> int:
         bounds.check_taylor_envelope if args.family == "taylor"
         else bounds.check_stirling_envelope
     )
-    checks = [check(a, grid_points=args.grid_points) for a in grid]
+    checks = [check(a) for a in grid]
     try:
         fit = bounds.scaling_fit([(r.a, r.achieved_max) for r in checks])
         fit_doc = {"c_est": fit.fit_slope, "intercept": fit.fit_intercept, "r2": fit.r_squared}
@@ -219,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="which envelope/construction family to scan",
     )
     p.add_argument("--a-grid", required=True, help="comma-separated interval radii")
-    p.add_argument("--grid-points", type=int, default=None, help="scan grid override")
     p.set_defaults(func=cmd_bounds_scan)
 
     p = sub.add_parser("chi", parents=[common], help="dephasing decay integral")

@@ -14,8 +14,8 @@ and coefficients c = (1, -2, +2, ..., -(-1)^n), with a zero of order n + 1 at
 omega = 0 for the sin^2 timings; :func:`filter_expsum` builds that form so the
 generic machinery (vanishing order, etc.) applies, and :func:`filter_function`
 sums its terms.  ``evaluate(filter_expsum(seq), omega)`` checks it
-independently.  The sequence type, the sin^2 timings and the coefficients come
-from :mod:`expsums.sequences`.
+independently.  The sequence type and the sin^2 timings come from
+:mod:`expsums.sequences`, the coefficients from :mod:`expsums.construction`.
 
 The same form makes chi exact and finite (the filter-function formalism of
 Cywinski, Lutchyn, Nave and Das Sarma, PRB 77, 174509, 2008): with
@@ -38,20 +38,16 @@ error bound.
 
 :func:`uhrig_filter_magnitude` answers for the exact sin^2 construction
 instead of its stored times, through the Bessel form |f| = 4N*|F_N(omega*T/2)|
-with F_N = sum_l (-1)^(l*N)*J_{(2l+1)N}, N = n + 1: its power series in
-fixed-point integers up to a crossover in omega*T, the N + 1 terms of the sum
-in mpmath above it, each at a precision raised from its own shortfall until
-an error bound certifies the result to one unit in the last place.
+with F_N = sum_l (-1)^(l*N)*J_{(2l+1)N}, N = n + 1, which
+:mod:`expsums.construction` certifies to one unit in the last place.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
@@ -60,9 +56,10 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
+from .construction import _MAX_ORDER, _built_as, _certified_sum, _coefficients, _rounded
 from .errors import InvalidInputError, PrecisionError, _count
-from .expsum import ExpSum, _built_as, _f17, _on_one_scale, vanishing_order
-from .sequences import _MAX_ORDER, PulseSequence, _coefficients
+from .expsum import ExpSum, _f17, _on_one_scale, vanishing_order
+from .sequences import PulseSequence
 
 __all__ = [
     "SpectralDensity",
@@ -124,25 +121,13 @@ def vanishing_order_filter(seq: PulseSequence, rel_tol: float = 1e-12) -> Option
 
 def uhrig_filter_magnitude(n: int, total_time: float, omega: float, dps: int = 50) -> float:
     """|f(omega)| of the exact n-pulse sin^2 sequence of duration T, not of
-    its stored double times, which cannot resolve its (omega*T)^(n+1) size.
-
-    With N = n + 1 the timings are T*(1 - cos(j*pi/N))/2, so by Jacobi-Anger
-    (DLMF 10.12.1) |f| = 4N*|F_N(omega*T/2)|, F_N = sum_{l >= 0} (-1)^(l*N)*
-    J_{(2l+1)N} real.  From |omega*T| = x/2^e, exact as the product of two
-    doubles, :func:`_bessel_series` sums it up to |omega*T| = 4N + 8 and
-    :func:`_direct_sum` above: the Bessel terms grow like e^(|omega*T|/2)
-    before they cancel, the direct terms cancel to (omega*T)^(n+1) near 0,
-    so each runs where it is cheaper.  From n = 65 on the direct sum also
-    runs where the series would cancel more than about 192 bits, a cost guard.
-
-    Each route works out its precision from n, omega*T and a number of guard
-    bits, next to a bound B on its error.  The sum S is accepted once |S| is
-    at least 2^55*B, and is rounded to a double once: within one unit in the
-    last place of |f|.  Short of that, the guard grows by the bits |S| lacks,
-    or doubles where |S| <= B, until B alone puts |f| below 2^-1022.  ``dps``
-    is validated for compatibility but plays no part.  A magnitude below the
-    smallest normal double (found at once where the DLMF 10.14.4 bound on |f|
-    lies that low) or omega = 0 raises :class:`PrecisionError`.
+    its stored double times, which cannot resolve its (omega*T)^(n+1) size:
+    4N*|F_N(omega*T/2)|, N = n + 1 (see :mod:`expsums.construction`), from
+    |omega*T| exact as the product of two doubles, certified to 2^-55
+    relative and rounded once, so within one ulp.  ``dps`` is validated but
+    plays no part.  A magnitude below the smallest normal double (found at
+    once where the DLMF 10.14.4 bound on |f| lies that low) or omega = 0
+    raises :class:`PrecisionError`.
     """
     if _count(n, "n") < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
@@ -159,100 +144,15 @@ def uhrig_filter_magnitude(n: int, total_time: float, omega: float, dps: int = 5
     if not x:
         raise PrecisionError("|f| = 0 at omega = 0 lies below the double range")
     N = n + 1
-    # log2 of y = |omega*T|/4, of y^N/N! and of |f| <= 4N*(4/3)*y^N/N!, which
-    # holds while y <= (N + 1)/2 (see _bessel_series)
+    # log2 of y = |omega*T|/4 and of |f| <= 4N*(4/3)*y^N/N!, which holds
+    # while y <= (N + 1)/2 (see _bessel_series); 2^-1022 is the least normal
     log_y = math.log2(x) - e - 2
-    log_lead = N * log_y - math.lgamma(N + 1) / math.log(2)
-    log_f = math.log2(16 * N / 3) + log_lead
-    if log_y <= math.log2((N + 1) / 2) and log_f < math.log2(sys.float_info.min) - 4:
+    log_f = math.log2(16 * N / 3) + (N * log_y - math.lgamma(N + 1) / math.log(2))
+    if log_y <= math.log2((N + 1) / 2) and log_f < -1022 - 4:
         size = math.ceil(log_f * math.log10(2))
         raise PrecisionError(f"|f| < 10^{size} lies below the double range")
-    # a cost guard on the bits the series cancels: its terms reach at most
-    # y^N/N!*e^(y^2/(N + 1)), and |F_N| is about y^N/N!, or below 1 past 1
-    route = _direct_sum
-    if x <= 4 * N + 8 << e and max(log_lead, 0) + 4**log_y / (N + 1) * math.log2(math.e) <= 192:
-        route = _bessel_series
-    guard = _GUARD
-    while True:
-        value, bound, P = route(n, x, e, guard)
-        if abs(value) >= bound << 55:
-            break
-        size = (bound << 56).bit_length() - P  # |f| < (|S| + B)/2^P < 2^size
-        if size <= -1022:
-            raise PrecisionError(f"|f| < 2^{size} lies below the double range")
-        shortfall = (bound << 55).bit_length() - abs(value).bit_length() + 1  # bits |S| lacks
-        guard += shortfall if abs(value) > bound else guard  # doubled while S is noise
-    magnitude = abs(value) / (1 << P) if P >= 0 else float(abs(value) << -P)  # one rounding
-    if magnitude < sys.float_info.min:
-        raise PrecisionError(f"|f| = {magnitude:.3g} lies below the double range")
-    return magnitude
-
-
-# guard bits of the first pass of both routes of uhrig_filter_magnitude
-_GUARD = 72
-
-
-def _bessel_series(n: int, x: int, e: int, guard: int) -> tuple[int, int, int]:
-    """(S, B, P): the signed 4N*F_N(2y) of :func:`uhrig_filter_magnitude` at
-    y = x/2^E, E = e + 2, as an integer S on the scale 2^-P, P placing y^N/N!
-    ``guard`` bits above the unit, and an integer bound B on its error.
-
-    J_k(2y), k = (2l+1)N, sums the terms (-1)^m*y^(2m+k)/(m!(m+k)!): the
-    first is one floor division of exact integers, each next the floor of
-    the last times y^2/(m(m+k)), so a term r is below its value by less than
-    d units, d <- ceil(d*y^2/(m(m+k))) + 1 from 1.  It ends once r <= 1 and
-    the next ratio is at most 1/2, the alternating tail then being at most
-    r + d.  The orders end once k + 1 > 2y and the next leading term r is
-    below the bound: |J_k(2y)| <= y^k/k! (DLMF 10.14.4), and each further
-    order is at most 1/4 of the one before, so they add at most 2r + 2.
-    """
-    N, E, square = n + 1, e + 2, x * x
-    P = guard - math.floor(N * (math.log2(x) - E) - math.lgamma(N + 1) / math.log(2))
-    total = bound = 0
-    for k in itertools.count(N, 2 * N):
-        r = (x**k << max(P - E * k, 0)) // (math.factorial(k) << max(E * k - P, 0))
-        if k + 1 << E - 1 > x and r < bound:
-            bound += 2 * r + 2
-            break
-        m, d, part = 0, 1, 0
-        while True:
-            part += -r if m & 1 else r
-            bound += d
-            if r <= 1 and 2 * square <= (m + 1) * (m + 1 + k) << 2 * E:
-                bound += r + d
-                break
-            m += 1
-            r = r * square // (m * (m + k)) >> 2 * E
-            d = -(-d * square // (m * (m + k) << 2 * E)) + 1
-        total += -part if (k // N) & 2 and N & 1 else part  # (-1)^(l*N)
-    return 4 * N * total, 4 * N * bound, P
-
-
-def _direct_sum(n: int, x: int, e: int, guard: int) -> tuple[int, int, int]:
-    """(S, B, P): +-|f| of :func:`uhrig_filter_magnitude` at omega*T = x/2^e
-    as an integer S on the scale 2^-P, and an integer bound B on its error.
-
-    Up to a phase f = sum_j c_j*e^(-i*z*cos(j*pi/N)), z = x/2^(e+1).  The
-    terms j and N - j pair up, so |f| = |sum_j c_j*trig(z*cos(j*pi/N))| with
-    trig = cos for even N and sin for odd N, where those two terms are equal:
-    the sum takes j <= N/2, with weight 2 but for a middle term.  At P bits,
-    u = 2^-P, and with mpmath's cospi, cos and sin within one unit in the
-    last place, z and the product each add u*z and j/N and cospi
-    (pi + 2)*u*z to a phase, and the trig function 2u to a term, which is
-    then truncated to an integer (one unit).  With sum_j |c_j| = 2N the
-    error is at most 2N*(9z + 3)*u <= 10N*(1 + omega*T)*u, that is B units,
-    and P is ``guard`` bits above B.
-    """
-    N = n + 1
-    bound = -(-10 * N * ((1 << e) + x) >> e)
-    P = guard + bound.bit_length()
-    trig = mpmath.cos if N % 2 == 0 else mpmath.sin
-    with mp.workprec(P):
-        z = mpmath.ldexp(x, -e - 1)
-        value = sum((1 if 2 * j == N else 2) * int(c)
-                    * int(mpmath.ldexp(trig(z * mpmath.cospi(mpmath.mpf(j) / N)), P))
-                    for j, c in zip(range(N // 2 + 1), _coefficients(n)))
-    return value, bound, P
+    value, _, P = _certified_sum(n, x, e)
+    return _rounded(value, P, "f")
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,8 @@ derivative bound sum_j |a_j|*|lambda_j|^m, vanishing-order detection at a
 point (in integer arithmetic, exact at t = 0), sup-norms over an interval by
 a grid scan refined with Newton steps, and adaptive L1 norms.
 The sums built in :mod:`expsums.sequences` record their order and scale, so
-their vanishing order at t = 0 is read from the exact moments of the
-construction (:func:`_uhrig_moments`) instead of the rounded exponents.
+their vanishing order at t = 0 and sup near it come from the exact
+construction (:mod:`expsums.construction`), not the rounded exponents.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
+from .construction import _certified_sum, _rounded, _uhrig_moments
 from .errors import InvalidInputError, PrecisionError, UnsupportedInputError, _count
 from .quadrature import adaptive_gauss_legendre
 
@@ -55,8 +56,8 @@ class ExpSum:
     coefficients: tuple[complex, ...]
     exponents: tuple[complex, ...]
     # (n, scale) for the order-n Uhrig sum with exponents times ``scale``, set
-    # by its builders alone (see _built_as): no derived sum, JSON round trip
-    # or dataclasses.replace carries it
+    # by its builders alone (see construction._built_as): no derived sum, JSON
+    # round trip or dataclasses.replace carries it
     _uhrig: Optional[tuple[int, float]] = field(
         default=None, init=False, compare=False, repr=False)
 
@@ -291,35 +292,6 @@ def derivative_magnitudes(
     return list(_magnitudes_up_to(g, t0, max_order, dps))
 
 
-def _built_as(x, n: int, scale: float):
-    """``x``, an ExpSum or PulseSequence, marked as the order-n sin^2
-    construction with exponents or times scaled by ``scale``."""
-    object.__setattr__(x, "_uhrig", (n, scale))
-    return x
-
-
-def _uhrig_moments(n: int, m: int) -> tuple[int, int]:
-    """4^m*mu_m and 4^m*S_m as exact integers, mu_m = sum_j a_j*lambda_j^m and
-    S_m = sum_j |a_j|*lambda_j^m, for the order-n Uhrig sum: exponents 0,
-    d_1..d_n, 1 with d_k = sin^2(k*pi/(2N)), N = n + 1, and coefficients
-    1, -2, +2, ..., -(-1)^n (Uhrig, PRL 98, 100504, 2007).
-
-    Expanding d_k^m = sin^(2m) into cosines of multiples of k*pi/N turns the
-    sums over k into geometric sums over a period, which vanish except at
-    multiples of N; with C(2m, m - j) = C(2m, m + j) this leaves, i = 0..2m,
-
-        4^m*mu_m = (-1)^N * 2N * sum of C(2m, i) over i = m + N (mod 2N),
-        4^m*S_m  =          2N * sum of C(2m, i) over i = m     (mod 2N).
-
-    So mu_m = 0 for m = 0..n and mu_{n+1} = (-1)^N * N / 4^n: the zero of
-    order n + 1 at t = 0.  No rounding enters, however small mu_m is.
-    """
-    period = 2 * (n + 1)
-    mu = sum(math.comb(2 * m, i) for i in range((m + n + 1) % period, 2 * m + 1, period))
-    s = sum(math.comb(2 * m, i) for i in range(m % period, 2 * m + 1, period))
-    return (-1) ** (n + 1) * period * mu, period * s
-
-
 def vanishing_order(
     g: ExpSum,
     t0: float = 0.0,
@@ -368,11 +340,10 @@ def vanishing_order(
 
 
 class SupNormResult(NamedTuple):
-    """Sup of |g| found by :func:`sup_norm`: ``value`` is |g| at ``argmax``
-    up to the evaluator's rounding bound, and ``slack`` (grid spacing times
-    the first-derivative bound) covers only the grid spacing, not rounding.
-    Below the rounding floor ``value`` is roundoff and can exceed the true
-    sup by orders of magnitude."""
+    """Sup of |g| found by :func:`sup_norm`.  From a scan, ``value`` is |g| at
+    ``argmax`` up to rounding (roundoff below the floor) and ``slack`` covers
+    the grid spacing.  For a marked sum near its zero, ``value`` is within an
+    ulp of |g(argmax)|, and the construction's sup at most ``slack`` above."""
 
     value: float
     argmax: float
@@ -436,23 +407,46 @@ def default_grid_points(g: ExpSum, interval: Interval) -> int:
 
 
 def sup_norm(g: ExpSum, interval: Interval, grid_points: Optional[int] = None) -> SupNormResult:
-    """Maximum of |g| over the interval by grid scan plus Newton refinement.
+    """Maximum of |g| over the interval: in one certified evaluation for a
+    marked sum near its zero, else by grid scan plus Newton refinement.
 
-    Scans a uniform grid in factored 64-point blocks (:func:`_values_on_grid`),
-    then refines around the three best local maxima by a safeguarded Newton
-    search on the derivative of |g|^2 (see :func:`_golden_max`); a refined
-    point counts with its exactly rounded value |evaluate(g, t)|.  The
-    returned value is |g| at the returned argmax up to the evaluator's
-    rounding bound; ``slack`` bounds what the grid spacing can hide, via the
-    Lipschitz constant of g, and says nothing about rounding.  Where the true
-    sup lies below the rounding floor, about eps*sum_j |a_j|, the value is
-    roundoff and not a lower bound.
+    A sum that records its construction (n, s) is judged as that construction
+    where z* = s*t*/2 <= N = n + 1, t* = max(|left|, |right|): |g(t)| =
+    4N*|F_N(s*t/2)|, F_N = J_N + (-1)^N*J_{3N} + ...; J_N grows on [0, N]
+    (DLMF 10.21), and so does R(z) = sum_{l >= 1} (z/2)^((2l+1)N)/((2l+1)N)!,
+    which bounds the rest (DLMF 10.14.4).  So the sup lies in [|g(t*)|,
+    |g(t*)| + 8N*R(z*)]: ``value`` is |g(t*)| rounded once, ``argmax`` the end
+    with |t| = t*, ``slack`` a bound above 8N*R(z*), within 36/35 of it and
+    never 0; ``grid_points`` has no effect, a value below the double range
+    raises PrecisionError, and the result describes the construction, as in
+    :func:`vanishing_order`.
+
+    Any other sum, and a marked one with z* > N, is scanned on a uniform grid
+    in factored 64-point blocks (:func:`_values_on_grid`), then refined around
+    the three best local maxima by a safeguarded Newton search on the
+    derivative of |g|^2 (see :func:`_golden_max`), a refined point counting
+    with |evaluate(g, t)|: ``value`` is |g| at argmax up to rounding, and
+    ``slack`` covers only the grid spacing.  Below the rounding floor, about
+    eps*sum_j |a_j|, the value is roundoff and not a lower bound.
     """
+    if grid_points is not None:
+        grid_points = _count(grid_points, "grid_points")
+        if grid_points < 16:
+            raise InvalidInputError(f"grid_points must be >= 16, got {grid_points}")
+    if g._uhrig is not None:
+        n, scale = g._uhrig
+        reach = max(abs(interval.left), abs(interval.right))
+        (u, p), (v, q) = float(scale).as_integer_ratio(), reach.as_integer_ratio()
+        x, e = u * v, (p * q).bit_length() - 1  # s*t* = x/2^e
+        if x <= 2 * n + 2 << e:
+            S, _, P = _certified_sum(n, x, e)
+            value = _rounded(S, P, "g")  # raises below the double range
+            k = 3 * (n + 1)  # 8N*R(z*) <= 8N*(36/35)*(z*/2)^k/k!: terms fall by 36x
+            bound = 96 * k * x**k / (35 * math.factorial(k) << k * (e + 2))
+            argmax = interval.right if abs(interval.right) == reach else interval.left
+            return SupNormResult(value, argmax, math.nextafter(bound, math.inf))
     if grid_points is None:
         grid_points = default_grid_points(g, interval)
-    grid_points = _count(grid_points, "grid_points")
-    if grid_points < 16:
-        raise InvalidInputError(f"grid_points must be >= 16, got {grid_points}")
     coefficients, lam = np.array(g.coefficients), _real_exponents(g)
     # |g| and |g''| stay within these sums, |g'|^2 within their product
     # (Cauchy-Schwarz); the search forms |g'|^2 and |g*g''|, and the factor 4

@@ -15,14 +15,11 @@ stretches the exponents to 9/b^2 * d_k so that consecutive gaps are at least
 1, and ``unit_gap_sum`` normalizes by the first fraction (exponents d_k/d_1)
 to the same effect.
 
-Every builder here takes the fractions from ``_sin2`` (floats) and the
-coefficients from ``_coefficients``; :mod:`expsums.dephasing` takes the
-coefficients too.  The sums and ``uhrig_pulse_times`` record (n, scale), so
-``vanishing_order`` can use the exact moments of the construction
-(``expsum._uhrig_moments``, dyadic rationals in closed form) instead of the
-rounded fractions, as ``alternating_power_sum`` does.  :class:`PulseSequence`
-lives here, so ``dephasing`` imports this module and never the other way
-round.
+The builders take the fractions and coefficients from
+:mod:`expsums.construction` and record (n, scale), so ``vanishing_order`` and
+``sup_norm`` answer for the exact construction, not the rounded fractions.
+:class:`PulseSequence` lives here, so ``dephasing`` imports this module and
+never the other way round.
 """
 
 from __future__ import annotations
@@ -35,8 +32,9 @@ from typing import Optional, Sequence
 import mpmath
 from mpmath import mp
 
+from .construction import _built_as, _coefficients, _sin2, _uhrig_moments
 from .errors import InvalidInputError, _count
-from .expsum import ExpSum, _built_as, _uhrig_moments
+from .expsum import ExpSum
 
 __all__ = [
     "PulseSequence",
@@ -51,11 +49,6 @@ __all__ = [
     "gap_check",
 ]
 
-# Largest order n whose double fractions d_k are distinct and below 1: at
-# n = 2^27 the last three are 1 - 1.3e-15, 1 - 4.4e-16 and 1 - 2.2e-16, and
-# at n = 2^28 the last rounds to 1.  A list of that many floats takes 4 GB.
-_MAX_ORDER = 2**27
-
 # Tolerance absorbing serialization roundoff in exact-value checks (gap and
 # growth comparisons here, |a_0| = 1 and Re(lambda_0) = 0 in the L1 probe).
 EXACT_TOL = 1e-12
@@ -64,22 +57,6 @@ EXACT_TOL = 1e-12
 def _require_even_positive(n: int) -> None:
     if _count(n, "n") < 2 or n % 2 != 0:
         raise InvalidInputError(f"n must be an even integer >= 2, got {n}")
-
-
-def _sin2(n: int) -> list:
-    """The fractions sin^2(k*pi/(2n+2)), k = 1..n, as Python floats computed
-    directly as sin^2 (no cancellation).  An order above 2^27 is rejected
-    before any list is built."""
-    if n > _MAX_ORDER:
-        raise InvalidInputError(f"order n > 2^27 = {_MAX_ORDER}: the sin^2 fractions "
-                                "would not be distinct doubles")
-    return [math.sin(k * math.pi / (2 * n + 2)) ** 2 for k in range(1, n + 1)]
-
-
-def _coefficients(n: int) -> tuple[float, ...]:
-    """(1, -2, +2, ..., -(-1)^n) for the exponents 0, d_1..d_n, 1: adjacent
-    differences of an alternating sum share each interior term."""
-    return (1.0, *(2.0 * (-1.0) ** k for k in range(1, n + 1)), -((-1.0) ** n))
 
 
 @dataclass(frozen=True)
@@ -128,7 +105,7 @@ def alternating_power_sum(n: int, m: int, dps: int = 50) -> mpmath.mpf:
     The interior coefficients of :func:`uhrig_sum` are 2*(-1)^k and its end
     coefficients 1 and -1, so for m >= 1 the sum is (mu_m + 1)/2, mu_m being
     the sum's m-th moment, an exact dyadic rational in closed form (see
-    ``expsum._uhrig_moments``); for m = 0 it is 0.  It equals 1/2 exactly
+    ``construction._uhrig_moments``); for m = 0 it is 0.  It equals 1/2 exactly
     for m = 1..n, n being even.
     """
     _require_even_positive(n)

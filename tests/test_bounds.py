@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,8 +18,11 @@ from expsums import (
     taylor_envelope_b,
     uhrig_sum,
     unit_gap_order_for_radius,
+    unit_gap_sum,
 )
+from expsums import expsum
 from expsums.bounds import STIRLING_DOMAIN_MAX
+from expsums.errors import PrecisionError
 
 E = math.e
 
@@ -112,6 +116,58 @@ def test_check_stirling_envelope_near_domain_top():
 def test_check_stirling_envelope_conforming():
     result = check_stirling_envelope(math.exp(-2) / 10)
     assert result.passes and result.order == 10
+
+
+def test_envelope_checks_are_one_evaluation_each(monkeypatch):
+    # z* <= N across both domains, so no check scans a grid; orders up to
+    # about 100, whose maxima are normal doubles
+    def no_scan(*args):
+        raise AssertionError("grid scan")
+
+    monkeypatch.setattr(expsum, "_values_on_grid", no_scan)
+    for a in np.geomspace(1.0 / 300.0, 1.0 / 3.0, 40):
+        assert check_taylor_envelope(float(a)).passes
+    for a in np.geomspace(math.exp(-2.0) / 100, STIRLING_DOMAIN_MAX * (1 - 1e-9), 40):
+        assert check_stirling_envelope(float(a)).passes
+
+
+# c(n) = -a*ln max|g| over [-a, a] for unit_gap_sum(n) at a = e^-2/n
+DECAY_CONSTANTS = {8: 0.45505, 16: 0.44801, 40: 0.44499, 80: 0.44455, 160: 0.44459}
+
+
+@pytest.mark.parametrize("n", sorted(DECAY_CONSTANTS))
+def test_decay_constant_of_the_construction(n):
+    a = math.exp(-2.0) / n
+    c = -a * math.log(sup_norm(unit_gap_sum(n), Interval(y=-a, a=2 * a)).value)
+    with mpmath.workdps(2 * n + 80):
+        # the sin^2 sum at t = a, where |g| is largest on [-a, a]
+        d = [mpmath.sin(k * mpmath.pi / (2 * n + 2)) ** 2 for k in range(1, n + 1)]
+        coeffs = [1, *(2 * (-1) ** k for k in range(1, n + 1)), -1]
+        t = mpmath.mpf(a) / d[0]
+        value = abs(mpmath.fsum(c * mpmath.expj(t * x) for c, x in zip(coeffs, [0, *d, 1])))
+        want = float(-a * mpmath.log(value))
+    assert c == pytest.approx(want, rel=1e-8)
+    assert round(c, 5) == DECAY_CONSTANTS[n]
+
+
+def test_decay_constant_beyond_the_double_range_raises():
+    a = math.exp(-2.0) / 320  # max|g| is about 1e-457
+    with pytest.raises(PrecisionError, match="below the double range"):
+        sup_norm(unit_gap_sum(320), Interval(y=-a, a=2 * a))
+
+
+def limit_decay_constant(alpha):
+    """C(alpha) = alpha*(beta - tanh(beta)) with sech(beta) = 2*alpha/pi^2,
+    the large-n limit of c(n) at a = alpha/n (Debye, DLMF 10.19.6)."""
+    beta = mpmath.asech(2 * alpha / mpmath.pi**2)
+    return alpha * (beta - mpmath.tanh(beta))
+
+
+def test_decay_constant_limits_stated_in_the_readme():
+    assert float(limit_decay_constant(mpmath.exp(-2))) == pytest.approx(0.4452054, abs=5e-8)
+    best = mpmath.findroot(lambda x: mpmath.diff(limit_decay_constant, x), 1.4)
+    assert float(best) == pytest.approx(1.42330, abs=5e-6)
+    assert float(limit_decay_constant(best)) == pytest.approx(1.36281, abs=5e-6)
 
 
 def test_scaling_fit_exact_recovery():

@@ -151,6 +151,14 @@ def test_bounds_scan_stdout_appends_fit(capsys):
     json.loads(lines[-1])  # trailing fit summary line
 
 
+def test_bounds_scan_has_no_grid_points_option(capsys):
+    # every envelope check is one evaluation of the construction, no scan
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds-scan", "--family", "taylor", "--a-grid", "0.1", "--grid-points", "64"])
+    assert exc.value.code == 2
+    assert "--grid-points" in capsys.readouterr().err
+
+
 def test_bounds_scan_empty_grid(capsys):
     code, _, _ = run(capsys, "bounds-scan", "--family", "taylor", "--a-grid", " ")
     assert code == 2

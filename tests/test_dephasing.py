@@ -24,8 +24,8 @@ from expsums import (
     uhrig_pulse_times,
     vanishing_order_filter,
 )
-from expsums import dephasing
-from expsums.expsum import _uhrig_moments
+from expsums import construction, dephasing
+from expsums.construction import _uhrig_moments
 from expsums.quadrature import adaptive_gauss_legendre
 
 ECHO = PulseSequence(times=(0.0, 0.5, 1.0))
@@ -212,21 +212,26 @@ def test_uhrig_filter_magnitude_resolves_tiny_values():
     assert ratio == pytest.approx(2.0 ** 5, rel=1e-3)
 
 
-def sin2_filter_magnitude(n, total_time, omega, digits=120, cancelled=None):
-    """|f(omega)| summed in mpmath over the exact sin^2 timings, with the
-    precision raised by the digits that the order n + 1 zero cancels (or by
-    ``cancelled`` digits, where the caller knows better), so the result keeps
-    about ``digits`` significant digits.  It does not use the moments of
+def sin2_filter_magnitude(n, total_time, omega, digits=120):
+    """|f(omega)| summed in mpmath over the exact sin^2 timings, to about
+    ``digits`` significant digits.  Its 2(n + 1) terms of size at most 2 leave
+    an error of about 2(n + 1)*(1 + |omega|*T)*10^-d at d working digits, so
+    d grows by the digits the result falls short of that error times
+    10^digits, until it falls short of none.  It does not use the moments of
     _uhrig_moments."""
     x = abs(omega * total_time)
-    if cancelled is None:
-        cancelled = (n + 1) * max(0.0, -math.log10(x)) + math.lgamma(n + 2) / math.log(10) + n
-    with mpmath.workdps(digits + int(cancelled) + 10):
-        T, w = mpmath.mpf(total_time), mpmath.mpf(omega)
-        d = [mpmath.sin(k * mpmath.pi / (2 * n + 2)) ** 2 for k in range(1, n + 1)]
-        times = [mpmath.mpf(0), *(T * x for x in d), T]
-        coeffs = [1, *(2 * (-1) ** k for k in range(1, n + 1)), -((-1) ** n)]
-        return abs(mpmath.fsum(c * mpmath.expj(t * w) for c, t in zip(coeffs, times)))
+    d = digits + 10
+    while True:
+        with mpmath.workdps(d):
+            T, w = mpmath.mpf(total_time), mpmath.mpf(omega)
+            s = [mpmath.sin(k * mpmath.pi / (2 * n + 2)) ** 2 for k in range(1, n + 1)]
+            times = [mpmath.mpf(0), *(T * y for y in s), T]
+            coeffs = [1, *(2 * (-1) ** k for k in range(1, n + 1)), -((-1) ** n)]
+            value = abs(mpmath.fsum(c * mpmath.expj(t * w) for c, t in zip(coeffs, times)))
+            shortfall = digits - d - mpmath.log10(value / (2 * (n + 1) * (1 + x))) if value else d
+        if shortfall <= 0:
+            return value
+        d += math.ceil(shortfall) + 10
 
 
 def within_one_ulp(value, oracle):
@@ -275,7 +280,7 @@ def route_magnitude(route, n, omega_t):
     sides of the crossover, under the function's own guard rule."""
     with pytest.MonkeyPatch.context() as patch:
         for name in ["_bessel_series", "_direct_sum"]:
-            patch.setattr(dephasing, name, route)
+            patch.setattr(construction, name, route)
         return uhrig_filter_magnitude(n, 1.0, omega_t)
 
 
@@ -285,7 +290,7 @@ def test_uhrig_filter_magnitude_routes_stay_within_their_bounds(route):
     for n in [1, 2, 5, 8, 13]:
         for omega_t in [0.3, 5.0, 4 * math.pi, 30.0]:
             x, e = omega_t.as_integer_ratio()
-            value, bound, P = getattr(dephasing, route)(n, x, e.bit_length() - 1, 4)
+            value, bound, P = getattr(construction, route)(n, x, e.bit_length() - 1, 4)
             oracle = mpmath.ldexp(sin2_filter_magnitude(n, 1.0, omega_t), P)
             assert abs(abs(value) - oracle) <= bound, (n, omega_t)
 
@@ -295,16 +300,31 @@ def test_uhrig_filter_magnitude_routes_agree_across_the_limit(n):
     # both routes on either side of the crossover 4(n + 1) + 8
     limit = crossover(n)
     for x in [limit - 0.5, limit - 0.001, limit, limit + 0.001, limit + 1.0]:
-        series = route_magnitude(dephasing._bessel_series, n, x)
-        direct = route_magnitude(dephasing._direct_sum, n, x)
+        series = route_magnitude(construction._bessel_series, n, x)
+        direct = route_magnitude(construction._direct_sum, n, x)
         assert series == pytest.approx(direct, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 8, 13])
+def test_routes_give_the_same_signed_bessel_sum(n):
+    # both give 4N*F_N itself, sign included: 2*sin(z) for n = 0, and
+    # 4N*J_N(z) to first order near z = 0
+    for omega_t in [0.3, 5.0, 30.0]:
+        x, e = omega_t.as_integer_ratio()
+        signs = {math.copysign(1, route(n, x, e.bit_length() - 1, 72)[0])
+                 for route in (construction._bessel_series, construction._direct_sum)}
+        assert len(signs) == 1, (n, omega_t)
+    x, e = (0.3).as_integer_ratio()
+    assert construction._direct_sum(n, x, e.bit_length() - 1, 400)[0] > 0
+    value, _, P = construction._direct_sum(0, 5, 0, 72)  # z = 5/2
+    assert float(mpmath.ldexp(value, -P)) == pytest.approx(2 * math.sin(2.5), rel=1e-15)
 
 
 def test_uhrig_filter_magnitude_takes_the_loop_above_the_limit(monkeypatch):
     routes = []
     for name in ["_bessel_series", "_direct_sum"]:
-        route = getattr(dephasing, name)
-        monkeypatch.setattr(dephasing, name,
+        route = getattr(construction, name)
+        monkeypatch.setattr(construction, name,
                             lambda *args, route=route, name=name: routes.append(name) or route(*args))
     T = 0.7
     # the route follows the exact product of the two doubles, not its rounding
@@ -322,8 +342,8 @@ def test_uhrig_filter_magnitude_takes_the_loop_above_the_limit(monkeypatch):
 def recorded_guards(monkeypatch, name):
     """The guards of the calls to the route ``name``, as they are made."""
     guards = []
-    route = getattr(dephasing, name)
-    monkeypatch.setattr(dephasing, name, lambda *args: guards.append(args[-1]) or route(*args))
+    route = getattr(construction, name)
+    monkeypatch.setattr(construction, name, lambda *args: guards.append(args[-1]) or route(*args))
     return guards
 
 
@@ -336,7 +356,7 @@ def test_uhrig_filter_magnitude_series_adds_guard_bits_through_cancellation(monk
     assert x < crossover(1)
     guards = recorded_guards(monkeypatch, "_bessel_series")
     assert within_one_ulp(uhrig_filter_magnitude(1, 1.0, x), oracle)
-    assert 1 < len(guards) <= 3 and guards[0] == dephasing._GUARD
+    assert 1 < len(guards) <= 3 and guards[0] == construction._GUARD
 
 
 # omega*T from above the old limit of 8 to 1000, across every crossover
@@ -370,16 +390,15 @@ def test_uhrig_filter_magnitude_direct_sum_adds_guard_bits_at_a_zero(monkeypatch
     assert oracle < 1e-29
     guards = recorded_guards(monkeypatch, "_direct_sum")
     assert within_one_ulp(uhrig_filter_magnitude(1, 1.0, x), oracle)
-    assert 1 < len(guards) <= 3 and guards[0] == dephasing._GUARD
+    assert 1 < len(guards) <= 3 and guards[0] == construction._GUARD
 
 
 @pytest.mark.parametrize("omega_t, magnitude", [(1300.0, 6.050551033701285e-102),
                                                 (1400.0, 3.854683312105644e-78)])
 def test_uhrig_filter_magnitude_resolves_large_order_cancellation(omega_t, magnitude):
     # at n = 1000 the Bessel series stays below its bound up to 288 guard bits
-    # here; the 1002 direct terms are at most 2 each, so the oracle's sum
-    # cancels log10(2002/|f|) < 110 digits
-    oracle = sin2_filter_magnitude(1000, 1.0, omega_t, digits=170, cancelled=110)
+    # here; the oracle's sum cancels log10(2002/|f|) < 110 digits
+    oracle = sin2_filter_magnitude(1000, 1.0, omega_t, digits=170)
     value = uhrig_filter_magnitude(1000, 1.0, omega_t)
     assert value == magnitude and within_one_ulp(value, oracle)
 
@@ -389,10 +408,10 @@ def test_uhrig_filter_magnitude_stops_below_the_double_range_without_signal(monk
     # that bound alone puts |f| below 2^-1022, and no longer
     guards = []
     for name in ["_bessel_series", "_direct_sum"]:
-        monkeypatch.setattr(dephasing, name, lambda n, x, e, guard: guards.append(guard) or (0, 1, guard))
+        monkeypatch.setattr(construction, name, lambda n, x, e, guard: guards.append(guard) or (0, 1, guard))
     with pytest.raises(PrecisionError, match="below the double range"):
         uhrig_filter_magnitude(3, 1.0, 5.0)
-    assert guards[0] == dephasing._GUARD and all(b >= 2 * a for a, b in zip(guards, guards[1:]))
+    assert guards[0] == construction._GUARD and all(b >= 2 * a for a, b in zip(guards, guards[1:]))
     assert 57 - guards[-1] <= -1022 < 57 - guards[-2]
 
 

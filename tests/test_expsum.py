@@ -504,17 +504,23 @@ def termwise(g):
     return lambda t: tuple(evaluate(s, t) for s in sums)
 
 
+def stored(g):
+    """The stored numbers of g without its record of the construction: a sum
+    that sup_norm scans wherever it is."""
+    return ExpSum(g.coefficients, g.exponents)
+
+
 def refinement_cases():
     for n in range(2, 42, 2):
         for y in (-60.0, -37.0, -14.0, 9.0, 32.0, 55.0):
-            yield f"uhrig({n}) on [{y}, {y + 5}]", uhrig_sum(n), Interval(y=y, a=5.0)
+            yield f"uhrig({n}) on [{y}, {y + 5}]", stored(uhrig_sum(n)), Interval(y=y, a=5.0)
     for n in range(2, 18, 2):
         b = 3.0 / (n + 1) * (1.0 - 0.01 * n)
-        yield f"Taylor n={n}", scaled_sum(b), Interval(y=-b / 9, a=2 * b / 9)
+        yield f"Taylor n={n}", stored(scaled_sum(b)), Interval(y=-b / 9, a=2 * b / 9)
     # n <= 8 resolves the sup; n = 10..16 sits in the double-precision noise
     for n in range(4, 18, 2):
         a = math.exp(-2.0) / n * (1.0 + 0.01 * n)
-        yield f"Stirling n={n}", unit_gap_sum(n), Interval(y=-a, a=2 * a)
+        yield f"Stirling n={n}", stored(unit_gap_sum(n)), Interval(y=-a, a=2 * a)
 
 
 @pytest.mark.parametrize("name, g, interval", list(refinement_cases()))
@@ -561,7 +567,7 @@ def call_cap(h, tol):
 ])
 def test_refinement_calls_per_bracket(monkeypatch, g, interval):
     searched = counted_searches(monkeypatch)
-    sup_norm(g, interval)
+    sup_norm(stored(g), interval)
     h = interval.length / (default_grid_points(g, interval) - 1)
     assert searched
     for calls, lo, hi, tol, arg in searched:
@@ -597,6 +603,88 @@ def test_refinement_converges_in_a_few_newton_steps(monkeypatch):
             sup_norm(uhrig_sum(n), Interval(y=y, a=8.0))
     interior = [calls for calls, *_, arg in searched if arg is not None]
     assert interior and max(interior) <= 6
+
+
+# ---------------------------------------------------------------------------
+# the sup of a marked sum near its zero, in one certified evaluation
+
+def construction_at(g, t, dps=100):
+    """|g(t)| for the exact construction that g records: its coefficients on
+    the sin^2 exponents times the recorded scale, summed in mpmath at ``dps``
+    digits."""
+    n, scale = g._uhrig
+    with mpmath.workdps(dps):
+        d = [mpmath.sin(k * mpmath.pi / (2 * n + 2)) ** 2 for k in range(1, n + 1)]
+        st = mpmath.mpf(scale) * mpmath.mpf(t)
+        return abs(mpmath.fsum(int(c.real) * mpmath.expj(st * x)
+                               for c, x in zip(g.coefficients, [0, *d, 1])))
+
+
+def envelope_sums():
+    """The Taylor and Stirling families at the radius of each order."""
+    for n in range(0, 42, 2):
+        b = 3.0 / (n + 1)
+        yield "Taylor", n, scaled_sum(b), b / 9
+    for n in range(4, 42, 2):
+        yield "Stirling", n, unit_gap_sum(n), math.exp(-2.0) / n
+
+
+@pytest.mark.parametrize("family, n, g, a", list(envelope_sums()))
+def test_envelope_sup_is_the_construction_at_the_far_end(family, n, g, a):
+    assert g._uhrig[0] == n
+    r = sup_norm(g, Interval(y=-a, a=2 * a))
+    assert r.argmax == a
+    assert abs(r.value - construction_at(g, a)) <= math.ulp(r.value)
+
+
+@pytest.mark.parametrize("g, lo, hi", [
+    (scaled_sum(3.0), -1 / 3, 1 / 3),               # order 0: |g| = 2|sin(t/2)|
+    (scaled_sum(3.0 / 7), -3.0 / 63, 3.0 / 63),     # Taylor n = 6
+    (unit_gap_sum(10), -math.exp(-2.0) / 10, math.exp(-2.0) / 10),
+    (uhrig_sum(2), -6.0, 1.0),                      # the far end is the left one
+    (uhrig_sum(10), 0.0, 22.0),                     # z* = N exactly
+    (uhrig_sum(24), 30.0, 40.0),                    # away from 0
+    (uhrig_sum(40), -35.0, 12.0),
+])
+def test_marked_sup_brackets_a_fine_scan_of_the_construction(g, lo, hi):
+    # value is |g(t*)| within one ulp, and the sup of the construction lies
+    # between |g(t*)| and |g(t*)| + slack
+    r = sup_norm(g, Interval.from_endpoints(lo, hi))
+    assert r.argmax == (lo if abs(lo) > abs(hi) else hi)
+    scan = max(construction_at(g, lo + (hi - lo) * k / 200) for k in range(201))
+    assert r.value - math.ulp(r.value) <= scan <= r.value + r.slack + math.ulp(r.value)
+
+
+@pytest.mark.parametrize("g, a", [(scaled_sum(3.0), 1 / 3), (uhrig_sum(10), 22.0),
+                                  (unit_gap_sum(16), math.exp(-2.0) / 16),
+                                  (unit_gap_sum(160), math.exp(-2.0) / 160)])
+def test_marked_sup_slack_is_the_tail_bound_rounded_up(g, a):
+    # 8N*R(z*), R(z) = sum_{l >= 1} (z/2)^((2l+1)N)/((2l+1)N)!, lies below
+    # the slack, which is at most 36/35 of it and never 0
+    n, scale = g._uhrig
+    N = n + 1
+    with mpmath.workdps(60):
+        z = mpmath.mpf(scale) * mpmath.mpf(a) / 2
+        tail = 8 * N * mpmath.nsum(lambda l: (z / 2) ** ((2 * l + 1) * N)
+                                   / mpmath.factorial((2 * l + 1) * N), [1, mpmath.inf])
+    slack = sup_norm(g, Interval(y=-a, a=2 * a)).slack
+    assert 0 < slack and tail <= slack
+    assert slack <= tail * 36 / 35 * (1 + 2**-50) or slack == 5e-324
+
+
+@pytest.mark.parametrize("g, interval", [(uhrig_sum(10), Interval(y=0.0, a=22.5)),
+                                         (uhrig_sum(4), Interval(y=-20.0, a=3.0)),
+                                         (ExpSum((1.0, -1.0), (0.0, 1.0)), Interval(y=-1.0, a=2.0))])
+def test_sup_norm_scans_where_the_construction_is_past_its_bracket(g, interval):
+    # z* > N, or no record: the stored numbers are scanned as before
+    assert sup_norm(g, interval) == sup_norm(stored(g), interval)
+
+
+def test_marked_sup_validates_grid_points_and_ignores_them():
+    g, interval = unit_gap_sum(16), Interval(y=-0.01, a=0.02)
+    with pytest.raises(InvalidInputError):
+        sup_norm(g, interval, grid_points=8)
+    assert sup_norm(g, interval, grid_points=64) == sup_norm(g, interval)
 
 
 def test_golden_max_finds_interior_maximum():
@@ -746,7 +834,7 @@ def test_sup_norm_scans_in_64_point_blocks(monkeypatch):
         return values_on_panels(ilam, coefficients, mid, halfwidth, nodes)
 
     monkeypatch.setattr(expsum, "_values_on_panels", spy)
-    sup_norm(uhrig_sum(20), Interval(y=3.0, a=5.0), grid_points=1024)
+    sup_norm(stored(uhrig_sum(20)), Interval(y=3.0, a=5.0), grid_points=1024)
     assert calls == [(16, 64)]
 
 
@@ -904,7 +992,7 @@ def test_float_only_copy_takes_the_ladder(monkeypatch, n):
 
 def test_sup_norm_slack_is_the_derivative_bound_times_the_spacing():
     rng = np.random.default_rng(11)
-    sums = [uhrig_sum(8), unit_gap_sum(12), scaled_sum(0.3), TWO_TERM]
+    sums = [stored(uhrig_sum(8)), stored(unit_gap_sum(12)), stored(scaled_sum(0.3)), TWO_TERM]
     for _ in range(20):
         size = int(rng.integers(1, 9))
         sums.append(ExpSum(

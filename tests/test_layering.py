@@ -98,3 +98,28 @@ def test_public_names_are_the_module_declarations():
         for alias in node.names
     }
     assert imported and imported <= set(declared)
+
+
+# the helpers of the sin^2 construction, each defined in construction alone
+CONSTRUCTION = {"_MAX_ORDER", "_sin2", "_coefficients", "_uhrig_moments", "_built_as",
+                "_bessel_series", "_direct_sum", "_certified_sum"}
+
+
+def module_definitions(path: Path) -> set[str]:
+    """Names a module binds at its top level, by def, class or assignment."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_construction_sits_on_errors_alone():
+    assert module_imports()["construction"] == {"errors"}
+    assert CONSTRUCTION <= module_definitions(PACKAGE / "construction.py")
+    for path in PACKAGE.glob("*.py"):
+        if path.stem != "construction":
+            assert not module_definitions(path) & CONSTRUCTION, path.stem
