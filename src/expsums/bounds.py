@@ -174,9 +174,16 @@ class ProbeResult(NamedTuple):
 
 
 def lower_bound_probe(g: ExpSum, interval: Interval, delta: float) -> ProbeResult:
-    """Measure the L1 mass and report implied_c = -a*delta*log(l1).
+    """Measure the L1 mass with :func:`~expsums.expsum.l1_norm` and report
+    implied_c = -a*delta*log(l1).
 
-    The sum must satisfy the structural class conditions (|a_0| = 1,
+    For a sum that records its construction (``scaled_sum``, ``uhrig_sum``,
+    ``unit_gap_sum``) the mass is that of the exact construction, in closed
+    form, within l1_norm's abs_tol and, on the head |s*t/2| <= n + 1 where
+    the interval of ``l1-scan`` lies, within about 2^-40 relative: so
+    implied_c is right to about 2^-40*a*delta, however small the mass.  For
+    any other sum it is the quadrature of the stored numbers, within abs_tol
+    only.  The sum must satisfy the structural class conditions (|a_0| = 1,
     Re(lambda_0) = 0, Re(lambda_j) >= j*delta) and a*delta must lie in
     (0, pi].  implied_c is an empirical witness: meaningful as a family
     statistic, not a certificate.
@@ -197,6 +204,6 @@ def lower_bound_probe(g: ExpSum, interval: Interval, delta: float) -> ProbeResul
     value = l1_norm(g, interval)
     if value <= 0.0:
         raise PrecisionError(
-            f"quadrature returned nonpositive L1 mass {value}; evaluation broke down"
+            f"l1_norm returned nonpositive L1 mass {value}; evaluation broke down"
         )
     return ProbeResult(l1=value, implied_c=-product * math.log(value))

@@ -64,11 +64,14 @@ def _uhrig_moments(n: int, m: int) -> tuple[int, int]:
     return (-1) ** (n + 1) * period * mu, period * s
 
 
-def _rounded(value: int, P: int, name: str) -> float:
-    """|value|/2^P rounded once to a double, which must be a normal one."""
-    magnitude = abs(value) / (1 << P) if P >= 0 else float(abs(value) << -P)
+def _rounded(value: int, P: int, name: str, divisor: int = 1) -> float:
+    """|value|/(divisor*2^P) rounded once to a double, which must be a normal
+    one; ``name`` is the quantity, as in "|f|"."""
+    if P < 0:
+        value, P = value << -P, 0
+    magnitude = abs(value) / (divisor << P)
     if magnitude < 2.0**-1022:
-        raise PrecisionError(f"|{name}| = {magnitude:.3g} lies below the double range")
+        raise PrecisionError(f"{name} = {magnitude:.3g} lies below the double range")
     return magnitude
 
 
@@ -76,53 +79,114 @@ def _rounded(value: int, P: int, name: str) -> float:
 _GUARD = 72
 
 
-def _certified_sum(n: int, x: int, e: int) -> tuple[int, int, int]:
+def _stop_below_double_range(log_size: float, name: str) -> None:
+    """Raise PrecisionError where log_size, log2 of a bound on the quantity
+    ``name``, lies more than 4 bits below the smallest normal double: before
+    any big integer is made."""
+    if log_size < -1022 - 4:
+        raise PrecisionError(f"{name} < 10^{math.ceil(log_size * math.log10(2))} "
+                             "lies below the double range")
+
+
+def _certified_sum(n: int, x: int, e: int, name: str = "|f|") -> tuple[int, int, int]:
     """(S, B, P): the signed 4N*F_N(z), z = x/2^(e+1), N = n + 1 >= 1, as an
     integer S on the scale 2^-P with |S| >= 2^55*B, B an integer bound on its
     error.
 
-    The Bessel series, whose terms grow like e^z before they cancel, runs up
-    to x/2^e = 4N + 8 unless it would cancel over about 192 bits; the direct
-    sum, whose terms cancel to (2z)^N near z = 0, runs elsewhere.  Short of
-    2^55*B the guard grows by the bits |S| lacks, or doubles where |S| <= B,
-    until B alone puts |4N*F_N| below 2^-1022, which raises PrecisionError.
+    Where y = z/2 <= (N + 1)/2 and |4N*F_N| <= 4N*(4/3)*y^N/N! (DLMF 10.14.4)
+    lies below the double range, it raises PrecisionError at once.  The Bessel
+    series, whose terms grow like e^z before they cancel, runs up to x/2^e =
+    4N + 8 unless it would cancel over about 192 bits; the direct sum, whose
+    terms cancel to (2z)^N near z = 0, runs elsewhere.  Both go through
+    :func:`_certified`.
     """
     N = n + 1
-    # log2 of y = x/2^(e+2) and of y^N/N!; the series' terms reach at most
-    # y^N/N!*e^(y^2/(N + 1)), and |F_N| is about y^N/N!, or below 1 past 1
-    log_y = math.log2(x) - e - 2
+    # log2 of y = x/2^(e+2) and of y^N/N!, once for the stop and the route
+    log_y = math.log2(x) - (e + 2)
     log_lead = N * log_y - math.lgamma(N + 1) / math.log(2)
+    if log_y <= math.log2((N + 1) / 2):
+        _stop_below_double_range(math.log2(16 * N / 3) + log_lead, name)
+    # the series' terms reach at most y^N/N!*e^(y^2/(N + 1)), and |F_N| is
+    # about y^N/N!, or below 1 past 1
     route = _direct_sum
     if x <= 4 * N + 8 << e and max(log_lead, 0) + 4**log_y / (N + 1) * math.log2(math.e) <= 192:
         route = _bessel_series
+    return _certified(route, (n, x, e), name)
+
+
+def _certified_integral(n: int, points, e: int, name: str, log_scale: int = 0):
+    """(S, B, P) as in :func:`_certified_sum` for sum_i w_i*4N*A_N(z_i) over
+    the pairs (x_i, w_i) of integers in ``points``, 0 < x_i <= N*2^(e+1) and
+    z_i = x_i/2^(e+1), A_N(z) being the integral of F_N from 0 to z: the mass
+    of |4N*F_N| between such points, F_N being positive on (0, N].  The
+    quantity ``name`` is 2^log_scale times it.  Where the bound
+    sum_i |w_i|*4N*(4/3)*2y^(N+1)/(N+1)!, y = z/2 at the largest z, lies
+    below the double range it raises at once; else :func:`_bessel_integral`
+    sums it under :func:`_certified`.
+    """
+    log_y = math.log2(max(x for x, _ in points)) - (e + 2)
+    log_mass = (n + 2) * log_y + 1 - math.lgamma(n + 3) / math.log(2)  # of 2y^(N+1)/(N+1)!
+    weight = sum(abs(w) for _, w in points)
+    _stop_below_double_range(math.log2(16 * (n + 1) / 3 * weight) + log_mass + log_scale, name)
+    return _certified(_bessel_integral, (n, points, e, -math.floor(log_mass)), name, log_scale)
+
+
+def _certified(route, args, name: str, log_scale: int = 0) -> tuple[int, int, int]:
+    """route(*args, guard) -> (S, B, P) until |S| >= 2^55*B: short of that
+    the guard grows by the bits |S| lacks, or doubles where |S| <= B, until B
+    alone puts 2^log_scale*|S|/2^P below 2^-1022, which raises
+    PrecisionError."""
     guard = _GUARD
     while True:
-        value, bound, P = route(n, x, e, guard)
+        value, bound, P = route(*args, guard)
         if abs(value) >= bound << 55:
             return value, bound, P
-        size = (bound << 56).bit_length() - P  # |f| < (|S| + B)/2^P < 2^size
+        size = (bound << 56).bit_length() - P + log_scale  # the quantity < 2^size
         if size <= -1022:
-            raise PrecisionError(f"|f| < 2^{size} lies below the double range")
+            raise PrecisionError(f"{name} < 2^{size} lies below the double range")
         shortfall = (bound << 55).bit_length() - abs(value).bit_length() + 1  # bits |S| lacks
         guard += shortfall if abs(value) > bound else guard  # doubled while S is noise
+
+
+def _bessel_integral(n: int, points, e: int, base: int, guard: int) -> tuple[int, int, int]:
+    """(S, B, P): the sum_i w_i*4N*A_N(z_i) of :func:`_certified_integral` as
+    an integer S on the scale 2^-P, P = base + guard placing the mass
+    2y^(N+1)/(N+1)! at the largest z = 2y ``guard`` bits above the unit, and
+    an integer bound B on its error (see :func:`_bessel_terms`)."""
+    P, total, bound = base + guard, 0, 0
+    for x, w in points:
+        value, error = _bessel_terms(n, x, e + 2, P, integral=True)
+        total, bound = total + w * value, bound + abs(w) * error
+    return 4 * (n + 1) * total, 4 * (n + 1) * bound, P
 
 
 def _bessel_series(n: int, x: int, e: int, guard: int) -> tuple[int, int, int]:
     """(S, B, P): the signed 4N*F_N(2y) of :func:`_certified_sum` at
     y = x/2^E, E = e + 2, as an integer S on the scale 2^-P, P placing y^N/N!
-    ``guard`` bits above the unit, and an integer bound B on its error.
+    ``guard`` bits above the unit, and an integer bound B on its error (see
+    :func:`_bessel_terms`)."""
+    P = guard - math.floor((n + 1) * (math.log2(x) - e - 2) - math.lgamma(n + 2) / math.log(2))
+    total, bound = _bessel_terms(n, x, e + 2, P)
+    return 4 * (n + 1) * total, 4 * (n + 1) * bound, P
+
+
+def _bessel_terms(n: int, x: int, E: int, P: int, integral: bool = False) -> tuple[int, int]:
+    """F_N(2y), y = x/2^E, or with ``integral`` A_N(2y), the integral of F_N
+    from 0, as an integer on the scale 2^-P and an integer bound on its error.
 
     J_k(2y), k = (2l+1)N, sums the terms (-1)^m*y^(2m+k)/(m!(m+k)!): the
     first is one floor division of exact integers, each next the floor of
     the last times y^2/(m(m+k)), so a term r is below its value by less than
-    d units, d <- ceil(d*y^2/(m(m+k))) + 1 from 1.  It ends once r <= 1 and
-    the next ratio is at most 1/2, the alternating tail then being at most
-    r + d.  The orders end once k + 1 > 2y and the next leading term r is
-    below the bound: |J_k(2y)| <= y^k/k! (DLMF 10.14.4), and each further
-    order is at most 1/4 of the one before, so they add at most 2r + 2.
+    d units, d <- ceil(d*y^2/(m(m+k))) + 1 from 1.  Its integral takes each
+    term times 2y/(2m+k+1) (DLMF 10.22.6), floored: d times that plus one
+    unit.  It ends once r <= 1 and the next ratio is at most 1/2, the
+    alternating tail then being at most a term plus its error.  The orders
+    end once k + 1 > 2y and the next leading term r is below the bound:
+    |J_k(2y)| <= y^k/k! (DLMF 10.14.4), which bounds the integral too, and
+    each further order is at most 1/4 of the one before, so they add at most
+    2r + 2.
     """
-    N, E, square = n + 1, e + 2, x * x
-    P = guard - math.floor(N * (math.log2(x) - E) - math.lgamma(N + 1) / math.log(2))
+    N, square = n + 1, x * x
     total = bound = 0
     for k in itertools.count(N, 2 * N):
         r = (x**k << max(P - E * k, 0)) // (math.factorial(k) << max(E * k - P, 0))
@@ -131,16 +195,20 @@ def _bessel_series(n: int, x: int, e: int, guard: int) -> tuple[int, int, int]:
             break
         m, d, part = 0, 1, 0
         while True:
-            part += -r if m & 1 else r
-            bound += d
+            q, dq = r, d
+            if integral:
+                width = 2 * m + k + 1 << E
+                q, dq = 2 * x * r // width, -(-2 * x * d // width) + 1
+            part += -q if m & 1 else q
+            bound += dq
             if r <= 1 and 2 * square <= (m + 1) * (m + 1 + k) << 2 * E:
-                bound += r + d
+                bound += q + dq
                 break
             m += 1
             r = r * square // (m * (m + k)) >> 2 * E
             d = -(-d * square // (m * (m + k) << 2 * E)) + 1
         total += -part if (k // N) & 2 and N & 1 else part  # (-1)^(l*N)
-    return 4 * N * total, 4 * N * bound, P
+    return total, bound
 
 
 def _direct_sum(n: int, x: int, e: int, guard: int) -> tuple[int, int, int]:

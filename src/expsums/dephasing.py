@@ -143,16 +143,8 @@ def uhrig_filter_magnitude(n: int, total_time: float, omega: float, dps: int = 5
     x, e = abs(w * t), (a * b).bit_length() - 1  # |omega*T| = x / 2^e exactly
     if not x:
         raise PrecisionError("|f| = 0 at omega = 0 lies below the double range")
-    N = n + 1
-    # log2 of y = |omega*T|/4 and of |f| <= 4N*(4/3)*y^N/N!, which holds
-    # while y <= (N + 1)/2 (see _bessel_series); 2^-1022 is the least normal
-    log_y = math.log2(x) - e - 2
-    log_f = math.log2(16 * N / 3) + (N * log_y - math.lgamma(N + 1) / math.log(2))
-    if log_y <= math.log2((N + 1) / 2) and log_f < -1022 - 4:
-        size = math.ceil(log_f * math.log10(2))
-        raise PrecisionError(f"|f| < 10^{size} lies below the double range")
-    value, _, P = _certified_sum(n, x, e)
-    return _rounded(value, P, "f")
+    value, _, P = _certified_sum(n, x, e, "|f|")
+    return _rounded(value, P, "|f|")
 
 
 @dataclass(frozen=True)

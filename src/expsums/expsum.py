@@ -8,13 +8,15 @@ derivative bound sum_j |a_j|*|lambda_j|^m, vanishing-order detection at a
 point (in integer arithmetic, exact at t = 0), sup-norms over an interval by
 a grid scan refined with Newton steps, and adaptive L1 norms.
 The sums built in :mod:`expsums.sequences` record their order and scale, so
-their vanishing order at t = 0 and sup near it come from the exact
+their vanishing order at t = 0, sup near it and L1 norm come from the exact
 construction (:mod:`expsums.construction`), not the rounded exponents.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -24,7 +26,8 @@ import mpmath
 import numpy as np
 from mpmath import mp
 
-from .construction import _certified_sum, _rounded, _uhrig_moments
+from .construction import (_certified_integral, _certified_sum, _coefficients, _rounded,
+                           _uhrig_moments)
 from .errors import InvalidInputError, PrecisionError, UnsupportedInputError, _count
 from .quadrature import adaptive_gauss_legendre
 
@@ -439,8 +442,8 @@ def sup_norm(g: ExpSum, interval: Interval, grid_points: Optional[int] = None) -
         (u, p), (v, q) = float(scale).as_integer_ratio(), reach.as_integer_ratio()
         x, e = u * v, (p * q).bit_length() - 1  # s*t* = x/2^e
         if x <= 2 * n + 2 << e:
-            S, _, P = _certified_sum(n, x, e)
-            value = _rounded(S, P, "g")  # raises below the double range
+            S, _, P = _certified_sum(n, x, e, "|g|")
+            value = _rounded(S, P, "|g|")  # raises below the double range
             k = 3 * (n + 1)  # 8N*R(z*) <= 8N*(36/35)*(z*/2)^k/k!: terms fall by 36x
             bound = 96 * k * x**k / (35 * math.factorial(k) << k * (e + 2))
             argmax = interval.right if abs(interval.right) == reach else interval.left
@@ -494,24 +497,300 @@ def sup_norm(g: ExpSum, interval: Interval, grid_points: Optional[int] = None) -
 
 
 def l1_norm(g: ExpSum, interval: Interval, abs_tol: float = 1e-10) -> float:
-    """Integral of |g| over the interval by adaptive Gauss-Kronrod quadrature
-    (the nested G15/K31 pair of :mod:`expsums.quadrature`).
+    """Integral of |g| over the interval.
 
-    Quartering failing panels handles the derivative kinks of |g| at zero
-    crossings.  Each level is evaluated in factored form, one exp per (panel,
-    term) and not per (node, term), within the bound of
-    :func:`_values_on_panels`.  Raises
-    :class:`~expsums.errors.QuadratureError` (with partial result and achieved
-    tolerance attached) if the subdivision cap is reached.
+    A sum that records its construction (n, s) is judged as that
+    construction, in closed form (see :func:`_marked_l1`): the result
+    describes the exact sin^2 sum, as in :func:`sup_norm` and
+    :func:`vanishing_order`, not its stored doubles.  Its error is within
+    abs_tol by an a-priori bound, and where the interval lies within
+    |s*t/2| <= N = n + 1 within about 2^-40 relative, however small the
+    value.  Where that bound exceeds abs_tol, the value lies below the double
+    range, or the zero scan would pass 2^20 (cell, term) pairs, it raises
+    :class:`PrecisionError`.
+
+    Any other sum is integrated, as stored, by adaptive Gauss-Kronrod
+    quadrature (the nested G15/K31 pair of :mod:`expsums.quadrature`):
+    quartering failing panels handles the derivative kinks of |g| at zero
+    crossings, and each level is evaluated in factored form, one exp per
+    (panel, term) and not per (node, term), within the bound of
+    :func:`_values_on_panels`.  Its error is the estimate |K31 - G15|, so a
+    kink that both rules miss goes unseen.  It raises
+    :class:`~expsums.errors.QuadratureError` (with partial result and
+    achieved tolerance attached) if the subdivision cap is reached.
     """
     if not abs_tol > 0:
         raise InvalidInputError(f"abs_tol must be positive, got {abs_tol}")
+    if g._uhrig is not None:
+        return _marked_l1(*g._uhrig, interval, abs_tol)
     ilam, coefficients = 1j * _real_exponents(g), np.array(g.coefficients)[:, None]
 
     def f(ts) -> np.ndarray:
         return np.abs(_values_on_panels(ilam, coefficients, *ts.panels)).ravel()
 
     value, _err = adaptive_gauss_legendre(f, interval.left, interval.right, abs_tol)
+    return value
+
+
+_U = 2.0**-53  # unit roundoff of a double
+_CELL = 0.25  # width in z of the cells of the zero scan
+_MAX_PAIRS = 2**20  # (cell, term) pairs of the zero scan
+
+
+class _DirectForm(NamedTuple):
+    """Phi(z) = sum_j a_j*trig(z*u_j), j = 0..N/2, N = n + 1: (-1)^floor(N/2)
+    *4N*F_N in the direct form of construction._direct_sum, trig = sin for odd
+    N and cos for even N.  u_j = cos(j*pi/N) is rounded once (u_{N/2} = 0 for
+    even N), a_j is the coefficient, twice but for a middle term, so
+    sum_j |a_j| = 2N and a*u is exact.  For the terms with u_j != 0, ``hi``
+    holds u_j to 26 bits, ``lo`` is cos(j*pi/N) - hi rounded once, and ``w``
+    the weight a_j/u_j (2*a_j/u_j for odd N) of :func:`_antiderivative`."""
+
+    N: int
+    u: np.ndarray
+    a: np.ndarray
+    au: np.ndarray
+    hi: np.ndarray
+    lo: np.ndarray
+    w: np.ndarray
+    w_abs: np.ndarray
+
+
+def _split(x):
+    """Veltkamp's split of doubles x into hi + lo, exactly, hi of at most 26
+    significant bits and lo of at most 27."""
+    c = 134217729.0 * x  # 2^27 + 1
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+@functools.lru_cache(maxsize=64)
+def _direct_form(n: int) -> _DirectForm:
+    N, k = n + 1, (n + 2) // 2  # k terms with u_j != 0
+    with mp.workprec(120):
+        exact = [mpmath.cospi(mpmath.mpf(j) / N) for j in range(N // 2 + 1)]
+        u = np.array([float(c) for c in exact])
+        hi = _split(u[:k])[0]
+        lo = np.array([float(c - h) for c, h in zip(exact, hi.tolist())])
+    c = _coefficients(n)
+    a = np.array([(1 if 2 * j == N else 2) * c[j] for j in range(N // 2 + 1)])
+    w = (1 + N % 2) * a[:k] / u[:k]
+    return _DirectForm(N, u, a, a * u, hi, lo, w, np.abs(w))
+
+
+def _phi(z: np.ndarray, form: _DirectForm) -> tuple[np.ndarray, np.ndarray]:
+    """Phi and Phi' at the points z."""
+    phase = np.multiply.outer(z, form.u)
+    cos, sin = np.cos(phase), np.sin(phase)
+    if form.N % 2:
+        return sin @ form.a, cos @ form.au
+    return cos @ form.a, -(sin @ form.au)
+
+
+def _antiderivative(z: np.ndarray, form: _DirectForm) -> tuple[np.ndarray, np.ndarray]:
+    """A(z), the integral of Phi from 0, at the points 0 <= z <= z_max, and
+    a bound on the rounding error of each value.
+
+    Its terms are w_j*sin^2(x*u_j), x = z/2, for odd N, and w_j*sin(x*u_j),
+    x = z, and z where u = 0 for even N.  The phase x*cos(j*pi/N) is
+    x_hi*hi, exact for the 26-bit halves of x (:func:`_split`), plus
+    r = x_lo*hi + x*lo, |r| <= 2^-25*x; p = that sum rounded and e its exact
+    error (Fast2Sum) leave |p + e - x*cos(j*pi/N)| <= 2^-73*x.  So
+    sin(p) + e*cos(p), with sin and cos within an ulp and |e| <= u_r*x, is
+    the sine within 3 units u_r of its size plus u_r*x*(2^-20 + u_r*(x + 6)).
+    A term is then within 9*u_r of itself (w_j within 2*u_r, sin^2 within
+    7*u_r) plus 4N*|a_j| times that (|u_j| >= 1/N), and the matrix product
+    of K terms adds K*u_r*sum_j |term_j|.  Only that tiny part grows with z.
+    """
+    N, odd = form.N, form.N % 2
+    x = 0.5 * z if odd else z
+    x_hi, x_lo = _split(x)
+    big = np.multiply.outer(x_hi, form.hi)
+    r = np.multiply.outer(x_lo, form.hi) + np.multiply.outer(x, form.lo)
+    p = big + r
+    sine = np.sin(p) + (r - (p - big)) * np.cos(p)
+    if odd:
+        sine *= sine
+    value, size = sine @ form.w, (sine if odd else np.abs(sine)) @ form.w_abs
+    if not odd:
+        value, size = value + form.a[-1] * z, size + 2 * z
+    x_max = float(x.max(initial=0.0))
+    tiny = 8 * N * N * x_max * (2.0**-20 + _U * (x_max + 6))
+    return value, _U * ((len(form.w) + 10) * size + tiny)
+
+
+def _zeros(form: _DirectForm, p0: float, p1: float, budget: float):
+    """The zeros of Phi on (p0, p1), as a list in increasing order, and a
+    bound on what splitting the integral of |Phi| at them misses: at most
+    ``budget`` for zeros that may hide in pairs, and budget/8 for where the
+    zeros land.
+
+    Each term of Phi, Phi' and Phi'' is at most |a_j|, so |Phi'|, |Phi''| <=
+    2N.  Phi and Phi' are taken on cells of width h = 1/4, within eps, their
+    rounding bound.  A cell is settled where from both ends |Phi| - eps
+    stays above (|Phi'| + eps)*h/2 + N*h^2/4, what half the cell can take off
+    (no zero), or where |Phi'| stays above N*h + eps with one sign (one zero
+    if the ends differ in sign, else none).  The rest are bisected until the
+    zero pairs they could hide, each enclosing a lobe of |Phi| <= N*w^3/6 for
+    a width w <= h (2N*h^3/4 is counted), fit in the budget; those keep a
+    zero where their ends differ in sign.  The zeros are then polished by
+    safeguarded Newton steps, all at once: a split t at distance delta from
+    its zero misses at most 2N*delta^2, as |Phi| <= 2N*delta between them.
+    In a monotone cell delta <= r/slope, r = |Phi(t)| + eps; in another,
+    delta <= rho = 2r/sigma, sigma = |Phi'(t)| - eps, where 8N*r <= sigma^2
+    (|Phi'| >= sigma/2 on [t - rho, t + rho], so one zero lies there) and
+    that window lies in the cell, else delta <= the cell's width.
+    """
+    N, m = form.N, len(form.u)
+    eps = 2 * N * _U * (2.1 * p1 + m + 4)
+    cells = max(1, math.ceil((p1 - p0) / _CELL))
+    if cells * m > _MAX_PAIRS:
+        raise PrecisionError(f"the zeros of F_N up to z = {p1:.3g} take more than "
+                             "2^20 (cell, term) pairs to find")
+    step = (p1 - p0) / cells
+    x = np.arange(cells + 1.0) * step + p0
+    x[-1] = p1
+    h = step + 2 * math.ulp(p1)  # the widest cell
+    v, d = _phi(x, form)
+    found, missed, real = [], 0.0, None  # cells (x[i], x[i + 1]) where real
+    for level in itertools.count():
+        size = np.abs(d)
+        clear = np.abs(v) - size * (h / 2) > eps * (1 + h / 2) + N * h * h / 4
+        steep, rising, up = size > N * h + eps, d > 0, v > 0
+        monotone = steep[:-1] & steep[1:] & ~(rising[:-1] ^ rising[1:])
+        unsettled, change = ~(clear[:-1] & clear[1:] | monotone), up[:-1] ^ up[1:]
+        if real is not None:
+            unsettled &= real
+            change &= real
+        lobes = np.count_nonzero(unsettled) * N * h**3 / 2
+        last = lobes <= budget or level == 64
+        take = np.nonzero(change if last else change & ~unsettled)[0]
+        # y[1:][k] rather than y[k + 1], and ^ rather than !=: loops that the
+        # quadrature runs too, so fewer pages of numpy's code are mapped in
+        least = np.minimum(size[take], size[1:][take])
+        slope = np.where(monotone[take], least - (N * h + eps), 0.0)
+        found.append((x[take], x[1:][take], v[take], v[1:][take], slope))
+        if last:
+            missed += lobes
+            break
+        # bisect: each unsettled cell becomes (l, mid), (mid, r), and (r, next l) is not a cell
+        i = np.nonzero(unsettled)[0]
+        mid = 0.5 * (x[i] + x[1:][i])
+        vm, dm = _phi(mid, form)
+        x, v, d = (np.stack((y[i], ym, y[1:][i]), axis=1).ravel()
+                   for y, ym in ((x, mid), (v, vm), (d, dm)))
+        real = np.ones(len(x) - 1, dtype=bool)
+        real[2::3] = False
+        h = h / 2 + math.ulp(p1)
+    lo, hi, vlo, vhi, slope = found[0] if len(found) == 1 else map(np.concatenate, zip(*found))
+    if not len(lo):
+        return [], missed
+    up, monotone, cell_lo, cell_hi = vlo > 0, bool(np.all(slope > 0)), lo, hi
+    t = lo - vlo * ((hi - lo) / (vhi - vlo))  # regula falsi: inside [lo, hi]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(64):
+            vt, dt = _phi(t, form)
+            residual = np.abs(vt) + eps
+            delta = residual / slope
+            if not monotone:
+                sigma = np.abs(dt) - eps
+                rho = 2 * residual / sigma
+                local = (sigma > 0) & (8 * N * residual <= sigma * sigma)
+                local &= (t - rho >= cell_lo) & (t + rho <= cell_hi)
+                delta = np.where(slope > 0, delta, np.where(local, rho, cell_hi - cell_lo))
+            miss = 2 * N * float(delta @ delta)
+            if miss <= budget / 8:
+                break
+            below = ~((vt > 0) ^ up)
+            lo, hi = np.where(below, t, lo), np.where(below, hi, t)
+            newton = t - vt / dt
+            t = np.where((newton - lo) * (newton - hi) <= 0, newton, 0.5 * (lo + hi))
+    return sorted(t.tolist()), missed + miss
+
+
+def _marked_l1(n: int, scale: float, interval: Interval, abs_tol: float) -> float:
+    """The integral of |g| over the interval for the order-n construction at
+    scale s, in closed form.
+
+    |g(t)| = |Phi(s*t/2)| (:class:`_DirectForm`) is even, so the interval
+    folds onto z = s*t/2 >= 0, one or two pieces [z_a, z_b], and the integral
+    is (2/s) times that of |Phi| over them.  On the head, z <= N, F_N has the
+    sign of J_N, positive (see :func:`sup_norm`), so a piece there is one
+    difference of the antiderivative A (:func:`_antiderivative`).  Beyond N
+    it is the sum of |A(z_{i+1}) - A(z_i)| between the zeros of Phi
+    (:func:`_zeros`, which spends abs_tol/2 on zeros hidden in pairs).  Where
+    the head's rounding bound is not below 2^-40 of the result, the head is
+    :func:`construction._certified_integral` at the exact ends instead,
+    rounded once; a head alone whose leading term 8N*y^(N+1)/(N+1)!, y = z/2,
+    already fails that goes there at once.  The rest of the bound (the
+    roundings of A, the zeros, the ends s*t/2 and the sum) must stay within
+    abs_tol, and the value above the double range, else PrecisionError.
+    """
+    form, scale = _direct_form(n), float(scale)
+    N, lo, hi = form.N, interval.left, interval.right
+    ends = [(lo, hi)] if lo >= 0 else [(-hi, -lo)] if hi <= 0 else [(0.0, -lo), (0.0, hi)]
+    pieces = [(scale * p / 2, scale * q / 2) for p, q in ends]
+    z_max, two_over_s = max(q for _, q in pieces), 2 / scale
+    if not math.isfinite(z_max * two_over_s):
+        raise PrecisionError(f"s*t/2 = {z_max:.3g} and 2/s = {two_over_s:.3g} overflow a double")
+    head = [(p, min(q, N)) for p, q in pieces if p < N]
+    tail = [(max(p, N), q) for p, q in pieces if q > N]
+    roots, missed = [], 0.0
+    if tail:
+        roots, missed = _zeros(form, min(p for p, _ in tail), z_max, abs_tol / (2 * two_over_s))
+    value = head_error = tail_error = tail_value = 0.0
+    # a head alone whose mass, about 8N*y^(N+1)/(N+1)! with y = z_max/2, lies
+    # below 2^40 times a part of the rounding bound of A at z_max (the size
+    # 4*sin^2(y) or 2*z_max of one term, times K + 10) skips the doubles
+    certify = head and not tail and z_max > 0
+    if certify:
+        log_mass = (math.log2(8 * N) + (N + 1) * math.log2(z_max / 2)
+                    - math.lgamma(N + 2) / math.log(2))
+        size = 4 * math.sin(z_max / 2) ** 2 if N % 2 else 2 * z_max
+        certify = log_mass < 40 + math.log2(_U * (len(form.w) + 10) * size)
+    if not certify:
+        # each head piece is a pair of points, each tail piece its ends and the zeros between
+        runs = [[p, *(z for z in roots if p < z < q), q] for p, q in tail]
+        A, error = _antiderivative(np.array([z for run in head + runs for z in run]), form)
+        sign = -1.0 if N // 2 % 2 else 1.0  # of Phi on the head
+        # Python floats, not numpy scalars
+        at, off = A[:2 * len(head)].tolist(), error[:2 * len(head)].tolist()
+        for i in range(0, len(at), 2):
+            value += sign * (at[i + 1] - at[i])
+            head_error += off[i] + off[i + 1]
+        i, parts = 2 * len(head), []
+        for run in runs:
+            j = i + len(run)
+            parts.extend(np.abs(A[i + 1:j] - A[i:j - 1]).tolist())
+            tail_error += float((error[i + 1:j] + error[i:j - 1]).sum())
+            i = j
+        tail_value = math.fsum(parts)
+        certify = head and head_error >= 2.0**-40 * (value + tail_value)
+    if certify:
+        whole, e = _on_one_scale([p for pair in ends for p in pair])
+        top, bottom = scale.as_integer_ratio()
+        e += bottom.bit_length() - 1  # s*t/2 = top*whole/2^(e+1)
+        weights = {}
+        for x, y in zip(whole[::2], whole[1::2]):
+            if x * top < N << e + 1:
+                for z, w in ((x * top, -1), (min(y * top, N << e + 1), 1)):
+                    weights[z] = weights.get(z, 0) + w
+        points = [(z, w) for z, w in weights.items() if z and w]  # none on a head of length 0
+        value = head_error = 0.0
+        if points:
+            S, _, P = _certified_integral(n, points, e, "the L1 norm",
+                                          math.ceil(math.log2(two_over_s)))
+            value = _rounded(2 * bottom * S, P, "the L1 norm", top)
+    else:
+        value *= two_over_s
+    value += two_over_s * tail_value
+    if value < 2.0**-1022:
+        raise PrecisionError(f"the L1 norm = {value:.3g} lies below the double range")
+    bound = (two_over_s * (missed + tail_error + head_error + 4 * N * _U * z_max * len(pieces))
+             + 4 * _U * value)
+    if not bound <= abs_tol:
+        raise PrecisionError(f"the closed-form L1 norm is certain only to {bound:.3g}, "
+                             f"above abs_tol = {abs_tol:.3g}")
     return value
 
 

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 import mpmath
@@ -10,6 +11,7 @@ import pytest
 
 from expsums import (
     ExpSum,
+    filter_expsum,
     Interval,
     InvalidInputError,
     PrecisionError,
@@ -25,12 +27,13 @@ from expsums import (
     scaled_sum,
     sup_norm,
     to_json,
+    uhrig_pulse_times,
     uhrig_sum,
     unit_gap_sum,
     vanishing_order,
     write_scan_csv,
 )
-from expsums import expsum, quadrature
+from expsums import construction, expsum, quadrature
 from expsums.expsum import _golden_max, _values_on_grid, _values_on_panels, default_grid_points
 
 ONE = ExpSum(coefficients=(1.0,), exponents=(0.0,))
@@ -680,6 +683,16 @@ def test_sup_norm_scans_where_the_construction_is_past_its_bracket(g, interval):
     assert sup_norm(g, interval) == sup_norm(stored(g), interval)
 
 
+def test_marked_sup_below_the_double_range_stops_at_once():
+    # |g| <= 4N*(4/3)*y^N/N! (DLMF 10.14.4) decides it before any big integer:
+    # a whole Bessel pass at n = 20,000 takes seconds
+    g, a = unit_gap_sum(20_000), math.exp(-2.0) / 20_000
+    start = time.perf_counter()
+    with pytest.raises(PrecisionError, match=r"\|g\| < 10\^-\d+ lies below the double range"):
+        sup_norm(g, Interval(y=-a, a=2 * a))
+    assert time.perf_counter() - start < 0.5
+
+
 def test_marked_sup_validates_grid_points_and_ignores_them():
     g, interval = unit_gap_sum(16), Interval(y=-0.01, a=0.02)
     with pytest.raises(InvalidInputError):
@@ -881,25 +894,24 @@ def test_l1_non_dyadic_interval_matches_oracle(monkeypatch, g, lo, hi):
         return values_on_panels(ilam, coefficients, mid, halfwidth, nodes)
 
     monkeypatch.setattr(expsum, "_values_on_panels", spy)
-    value = l1_norm(g, Interval.from_endpoints(lo, hi))
+    value = l1_norm(stored(g), Interval.from_endpoints(lo, hi))
     assert value == pytest.approx(antisymmetric_l1(g, lo, hi), abs=1e-9)
     if lo == 1 / 3:
         assert max(widths) == 5  # levels with five distinct half-widths
 
 
-@pytest.mark.xfail(strict=True, reason="a zero of g at t = +-1.116208 lies 2.7e-6 inside "
-                   "the depth-10 panels ending at +-1.1162109375, beyond their last node, "
-                   "so K31 and G15 agree on the smooth branch and miss the kink of |g|")
 def test_l1_kink_beyond_the_last_node():
     # the oracle is antisymmetric_l1's closed form, which scipy's quad over
-    # 20,000 pieces matches; l1_norm returns 15.046762928348627, off by 2.66e-9
+    # 20,000 pieces matches; the quadrature of the stored sum returned
+    # 15.046762928348627, off by 2.66e-9: a zero at t = +-1.116208 lies
+    # beyond the last node of its depth-10 panels
     value = l1_norm(unit_gap_sum(12), Interval.from_endpoints(-1.5, 1.5))
     assert value == pytest.approx(15.04676293101318, abs=1e-10)
 
 
-L1_CASES = [(uhrig_sum(20), Interval(y=0.0, a=80.0)),
-            (unit_gap_sum(12), Interval.from_endpoints(1 / 3, 3.2333)),
-            (scaled_sum(0.6), Interval.from_endpoints(-1 / 3, 2.9))]
+L1_CASES = [(stored(uhrig_sum(20)), Interval(y=0.0, a=80.0)),
+            (stored(unit_gap_sum(12)), Interval.from_endpoints(1 / 3, 3.2333)),
+            (stored(scaled_sum(0.6)), Interval.from_endpoints(-1 / 3, 2.9))]
 
 
 @pytest.mark.parametrize("slice_panels", [1, 7])
@@ -913,6 +925,194 @@ def test_l1_slicing_moves_at_most_last_bits(monkeypatch, slice_panels):
 def test_l1_repeats_its_bits():
     first = [l1_norm(g, interval).hex() for g, interval in L1_CASES]
     assert [l1_norm(g, interval).hex() for g, interval in L1_CASES[::-1]] == first[::-1]
+
+
+# ---------------------------------------------------------------------------
+# the L1 norm of a marked sum in closed form
+
+def bracketed_root(f, a, b, fa):
+    """A zero of f in [a, b], where f(a) = fa and f(b) differ in sign, by the
+    Illinois variant of regula falsi (both ends move, superlinearly)."""
+    fb, side = f(b), 0
+    while b - a > mpmath.mpf(10) ** (5 - mpmath.mp.dps) * (1 + abs(a)):
+        m = (a * fb - b * fa) / (fb - fa)
+        fm = f(m)
+        if fm == 0:
+            return m
+        if (fm > 0) == (fb > 0):
+            b, fb, fa, side = m, fm, fa / 2 if side == -1 else fa, -1
+        else:
+            a, fa, fb, side = m, fm, fb / 2 if side == 1 else fb, 1
+    return (a + b) / 2
+
+
+def construction_l1(g, lo, hi, dps=60, step=0.1):
+    """Integral of |g| over [lo, hi] for the exact construction that g
+    records, at ``dps`` digits, from its definition: with z = s*t/2,
+    g(t) = e^(iz)*h(z), h(z) = sum_{j=0..N} c_j*e^(-iz*cos(j*pi/N)), which is
+    real for even N and imaginary for odd N.  That part of h is split at each
+    of its zeros, found as sign changes between its extrema (the sign changes
+    of its derivative on a grid of ``step``), and integrated exactly."""
+    n, scale = g._uhrig
+    N = n + 1
+    with mpmath.workdps(dps):
+        c = [1, *(2 * (-1) ** k for k in range(1, n + 1)), -((-1) ** n)]
+        u = [mpmath.cospi(mpmath.mpf(j) / N) for j in range(N + 1)]
+        part = (lambda w: w.real) if N % 2 == 0 else (lambda w: w.imag)
+        h = lambda z: part(mpmath.fsum(cj * mpmath.expj(-z * uj) for cj, uj in zip(c, u)))
+        dh = lambda z: part(mpmath.fsum(-1j * cj * uj * mpmath.expj(-z * uj)
+                                        for cj, uj in zip(c, u)))
+        H = lambda z: part(mpmath.fsum(cj * z if uj == 0
+                                       else cj * (mpmath.expj(-z * uj) - 1) / (-1j * uj)
+                                       for cj, uj in zip(c, u)))
+        s = mpmath.mpf(scale)
+        zl, zh = s * mpmath.mpf(lo) / 2, s * mpmath.mpf(hi) / 2
+        pieces = ([(zl, zh)] if zl >= 0 else [(-zh, -zl)] if zh <= 0
+                  else [(mpmath.mpf(0), -zl), (mpmath.mpf(0), zh)])
+        total, done = mpmath.mpf(0), {}
+        for za, zb in pieces:
+            if (za, zb) in done:
+                total += done[za, zb]
+                continue
+            k = max(1, math.ceil(float(zb - za) / step))
+            grid = [za + (zb - za) * i / k for i in range(k + 1)]
+            slopes = [dh(z) for z in grid]
+            marks = grid + [bracketed_root(dh, grid[i], grid[i + 1], slopes[i])
+                            for i in range(k) if slopes[i] * slopes[i + 1] < 0]
+            marks.sort()
+            values = [h(z) for z in marks]
+            breaks = [za, *(bracketed_root(h, marks[i], marks[i + 1], values[i])
+                            for i in range(len(marks) - 1) if values[i] * values[i + 1] < 0), zb]
+            done[za, zb] = mpmath.fsum(abs(H(y) - H(x)) for x, y in zip(breaks, breaks[1:]))
+            total += done[za, zb]
+        return total * 2 / s
+
+
+def marked_l1_cases():
+    """Seeded marked sums and intervals: odd N (uhrig, unit_gap, scaled), even
+    N (the filter sums of odd pulse counts), N = 1 (scaled_sum(b > 1.5)), on
+    intervals across 0, wholly negative, on the head z <= N alone (one of
+    them 1e-7 of N wide), and reaching past z = 3N."""
+    rng = np.random.default_rng(29)
+    sums = [uhrig_sum(2), uhrig_sum(6), uhrig_sum(10), unit_gap_sum(4), scaled_sum(0.6),
+            scaled_sum(2.0), scaled_sum(2.9), filter_expsum(uhrig_pulse_times(1, 1.3)),
+            filter_expsum(uhrig_pulse_times(3, 0.7)), filter_expsum(uhrig_pulse_times(7, 2.0))]
+    for g in sums:
+        n, scale = g._uhrig
+        reach = 2 * (n + 1) / scale  # t at z = N
+        for kind, (lo, hi) in [("across", (-rng.uniform(0.2, 1.5), rng.uniform(0.2, 1.5))),
+                               ("negative", (-rng.uniform(1.5, 3.0), -rng.uniform(0.05, 1.0))),
+                               ("head", (rng.uniform(0.0, 0.3), rng.uniform(0.5, 1.0))),
+                               ("narrow head", (lambda y: (y, y + 1e-7))(rng.uniform(0.3, 1.0))),
+                               ("past 3N", (rng.uniform(-0.5, 0.5), rng.uniform(3.0, 4.0)))]:
+            yield pytest.param(g, lo * reach, hi * reach, "head" in kind,
+                               id=f"n={n},s={scale:.4g},{kind}")
+
+
+@pytest.mark.parametrize("g, lo, hi, head_only", list(marked_l1_cases()))
+def test_marked_l1_matches_the_construction(g, lo, hi, head_only):
+    value = l1_norm(g, Interval.from_endpoints(lo, hi))
+    oracle = construction_l1(g, lo, hi)
+    assert type(value) is float
+    assert abs(value - oracle) <= max(1e-12 * oracle, 1e-10)
+    if head_only:  # within about 2^-40 relative, however small
+        assert abs(value - oracle) <= 1e-12 * oracle
+
+
+@pytest.mark.parametrize("g, lo, hi, step", [(uhrig_sum(20), 0.0, 100.0, 0.1),
+                                             (scaled_sum(0.1), -1.0, 1.0, 0.25),
+                                             (uhrig_sum(20), 0.0, 53.0, 0.1),
+                                             (uhrig_sum(10), 0.0, 66.0, 0.1)])
+def test_marked_l1_baseline_cases(g, lo, hi, step):
+    # the benchmark's four pinned l1 cases: the quadrature hit its cap on the
+    # first two and missed a kink on the others (218.6922395075206 against
+    # 218.69306420784085, and 2.35e-5 off)
+    value = l1_norm(g, Interval.from_endpoints(lo, hi))
+    assert abs(value - construction_l1(g, lo, hi, step=step)) <= 1e-12 * value
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 19, 20])
+def test_antiderivative_is_within_its_rounding_bound(n):
+    # A(z), the integral of Phi = sum_j a_j*trig(z*cos(j*pi/N)) from 0, at 60
+    # digits, against the doubles and their a-priori bound, far out in z too,
+    # where the phase needs more than one double product
+    N = n + 1
+    z = np.array([0.0, 0.3, N, 3.7 * N, 1234.5, 98765.4321, 3.1e6])
+    value, bound = expsum._antiderivative(z, expsum._direct_form(n))
+    c = construction._coefficients(n)
+    with mpmath.workdps(60):
+        for x, v, b in zip(z.tolist(), value.tolist(), bound.tolist()):
+            exact = 0
+            for j in range(N // 2 + 1):
+                a, u = (1 if 2 * j == N else 2) * c[j], mpmath.cospi(mpmath.mpf(j) / N)
+                if N % 2:
+                    exact += a * (1 - mpmath.cos(x * u)) / u
+                else:
+                    exact += a * (mpmath.sin(x * u) / u if u else x)
+            assert abs(v - exact) <= b, (x, v - exact, b)
+
+
+@pytest.mark.parametrize("n", range(64))
+def test_construction_is_positive_on_the_head(n):
+    # F_N has the sign of J_N on (0, N], which the closed form takes without
+    # a zero scan there: the signs of 4N*F_N certified on a grid that runs
+    # from z = N/1024 to N itself
+    N = n + 1
+    grid = [Fraction(N, 2**k) for k in range(1, 11)] + [Fraction(N * k, 64) for k in range(33, 65)]
+    for z in grid:
+        S, _, _ = construction._certified_sum(n, (2 * z * 2**12).numerator, 12)
+        assert S > 0, (n, z)
+
+
+def test_marked_l1_takes_the_exact_head_below_the_rounding(monkeypatch):
+    # l1-scan at n = 16: the mass, 6.7e-19, lies far below the rounding of
+    # the double terms; the certified head gives it to full precision
+    b = 3 / 17 * 0.99
+    g, interval = scaled_sum(b), Interval(y=-b / 18, a=b / 9)
+    calls = []
+    certified = expsum._certified_integral
+    monkeypatch.setattr(expsum, "_certified_integral",
+                        lambda *args: calls.append(args) or certified(*args))
+    value = l1_norm(g, interval)
+    assert len(calls) == 1
+    assert abs(value - construction_l1(g, interval.left, interval.right)) <= 1e-13 * value
+
+
+def test_marked_l1_is_certain_or_raises():
+    # abs_tol below the rounding bound of the double terms, and a mass below
+    # the double range
+    with pytest.raises(PrecisionError, match="abs_tol"):
+        l1_norm(uhrig_sum(20), Interval(y=0.0, a=80.0), abs_tol=1e-14)
+    with pytest.raises(PrecisionError, match=r"L1 norm < 10\^-\d+ lies below the double range"):
+        l1_norm(unit_gap_sum(400), Interval(y=-1e-3, a=2e-3))
+    with pytest.raises(PrecisionError, match="2\\^20"):
+        l1_norm(uhrig_sum(40), Interval(y=0.0, a=1e6))
+    # 1.0 + 1e-20 rounds to 1.0: the head has length 0
+    with pytest.raises(PrecisionError, match="the L1 norm = 0 lies below the double range"):
+        l1_norm(uhrig_sum(4), Interval(y=1.0, a=1e-20))
+
+
+@pytest.mark.parametrize("g, lo, hi", [
+    (uhrig_sum(20), 0.0, 300.0), (filter_expsum(uhrig_pulse_times(19, 1.0)), -120.0, 300.0)])
+def test_marked_l1_long_intervals_match_the_construction(g, lo, hi):
+    # z = s*t/2 reaches 150 past some 30 zeros: the phase x*cos(j*pi/N) of
+    # the antiderivative is carried past the double product, whose rounding,
+    # u_r*z per term at each zero, would put the bound above abs_tol
+    value = l1_norm(g, Interval.from_endpoints(lo, hi))
+    assert abs(value - construction_l1(g, lo, hi)) <= 1e-12 * value
+
+
+def test_unmarked_l1_keeps_the_quadrature(monkeypatch):
+    # a stored copy, and a sum without a record, go through the quadrature
+    calls = []
+    integrate = expsum.adaptive_gauss_legendre
+    monkeypatch.setattr(expsum, "adaptive_gauss_legendre",
+                        lambda *args: calls.append(1) or integrate(*args))
+    l1_norm(uhrig_sum(6), Interval(y=-0.5, a=1.0))
+    assert not calls
+    l1_norm(stored(uhrig_sum(6)), Interval(y=-0.5, a=1.0))
+    l1_norm(TWO_TERM, Interval(y=-0.5, a=1.0))
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------
